@@ -287,7 +287,7 @@ impl BitcoinChain {
         let mut failure: Option<(Digest, UtxoError)> = None;
         for id in &applied {
             let block = self.chain.block(id).expect("applied blocks are stored");
-            match self.ledger.apply_block(&block.clone(), self.params.subsidy) {
+            match self.ledger.apply_block(block, self.params.subsidy) {
                 Ok(undo) => {
                     self.undo.insert(*id, undo);
                     done.push(*id);
@@ -336,9 +336,8 @@ impl BitcoinChain {
         }
         self.mempool.reinstate(reinstated);
         for id in &applied {
-            if let Some(block) = self.chain.block(id) {
-                let ids: Vec<Digest> = block.txs.iter().map(LedgerTx::id).collect();
-                self.mempool.remove_confirmed(ids);
+            if let Some(ids) = self.chain.tx_ids(id) {
+                self.mempool.remove_confirmed(ids.iter().copied());
             }
         }
         Ok(())
@@ -348,14 +347,9 @@ impl BitcoinChain {
     /// depth: included in an active block with ≥ `confirmation_depth`
     /// confirmations (§IV-A).
     pub fn is_confirmed(&self, tx_id: &Digest) -> bool {
-        for (height, block_id) in self.chain.active_chain().iter().enumerate() {
-            let block = self.chain.block(block_id).expect("active blocks stored");
-            if block.txs.iter().any(|t| t.id() == *tx_id) {
-                let confs = self.chain.tip_height() - height as u64 + 1;
-                return confs >= self.params.confirmation_depth;
-            }
-        }
-        false
+        self.chain
+            .tx_confirmations(tx_id)
+            .is_some_and(|c| c >= self.params.confirmation_depth)
     }
 }
 

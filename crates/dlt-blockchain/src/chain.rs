@@ -14,9 +14,16 @@
 //! Blocks that arrive before their parent wait in a bounded orphan
 //! pool and are connected when the parent shows up (out-of-order
 //! gossip delivery is routine in the simulations).
+//!
+//! Transaction ids are hashed once, when a block is offered (the Merkle
+//! check needs them anyway), and kept beside the block. A
+//! `(tx id, height)` index over the active chain, maintained on every
+//! connect and disconnect, answers [`ChainStore::tx_confirmations`]
+//! without scanning the chain.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
+use dlt_crypto::merkle::merkle_root;
 use dlt_crypto::Digest;
 
 use crate::block::{Block, BlockHeader, LedgerTx};
@@ -86,8 +93,22 @@ pub enum InsertOutcome {
 
 struct StoredBlock<T> {
     block: Block<T>,
+    /// The block's transaction ids, in block order.
+    tx_ids: Vec<Digest>,
     chainwork: u128,
     arrival: u64,
+}
+
+/// A block that passed `insert`'s stateless checks, with the ids
+/// computed there: what the orphan pool holds and `connect` takes.
+struct Offered<T> {
+    id: Digest,
+    block: Block<T>,
+    tx_ids: Vec<Digest>,
+}
+
+fn tx_ids_of<T: LedgerTx>(block: &Block<T>) -> Vec<Digest> {
+    block.txs.iter().map(LedgerTx::id).collect()
 }
 
 /// Maximum blocks the orphan pool holds before evicting the oldest.
@@ -98,11 +119,18 @@ pub struct ChainStore<T> {
     blocks: BTreeMap<Digest, StoredBlock<T>>,
     children: BTreeMap<Digest, Vec<Digest>>,
     /// Orphans keyed by the missing parent id.
-    orphans: BTreeMap<Digest, Vec<Block<T>>>,
-    orphan_arrivals: Vec<Digest>,
+    orphans: BTreeMap<Digest, Vec<Offered<T>>>,
+    /// Ids of every pooled orphan.
+    orphan_ids: BTreeSet<Digest>,
+    /// Missing-parent ids in orphan arrival order (eviction order).
+    orphan_arrivals: VecDeque<Digest>,
     /// Active chain by height: `active[h]` is the active block at
     /// height `h`.
     active: Vec<Digest>,
+    /// Exactly the `(tx id, height)` pairs of the active blocks. A set
+    /// of pairs, not a map: a transaction can sit in two active blocks,
+    /// and the lowest height is the one that counts.
+    tx_index: BTreeSet<(Digest, u64)>,
     genesis: Digest,
     arrival_seq: u64,
     validate_pow: bool,
@@ -118,12 +146,15 @@ impl<T: LedgerTx> ChainStore<T> {
     pub fn new(genesis: Block<T>, validate_pow: bool) -> Self {
         assert!(genesis.header.is_genesis(), "genesis block required");
         let id = genesis.id();
+        let tx_ids = tx_ids_of(&genesis);
+        let tx_index = tx_ids.iter().map(|tx| (*tx, 0)).collect();
         let mut blocks = BTreeMap::new();
         blocks.insert(
             id,
             StoredBlock {
                 chainwork: u128::from(genesis.header.difficulty),
                 block: genesis,
+                tx_ids,
                 arrival: 0,
             },
         );
@@ -131,8 +162,10 @@ impl<T: LedgerTx> ChainStore<T> {
             blocks,
             children: BTreeMap::new(),
             orphans: BTreeMap::new(),
-            orphan_arrivals: Vec::new(),
+            orphan_ids: BTreeSet::new(),
+            orphan_arrivals: VecDeque::new(),
             active: vec![id],
+            tx_index,
             genesis: id,
             arrival_seq: 1,
             validate_pow,
@@ -159,6 +192,11 @@ impl<T: LedgerTx> ChainStore<T> {
         self.blocks.get(id).map(|s| &s.block)
     }
 
+    /// The transaction ids of a stored block, in block order.
+    pub fn tx_ids(&self, id: &Digest) -> Option<&[Digest]> {
+        self.blocks.get(id).map(|s| s.tx_ids.as_slice())
+    }
+
     /// The header for an id, if known.
     pub fn header(&self, id: &Digest) -> Option<&BlockHeader> {
         self.block(id).map(|b| &b.header)
@@ -181,7 +219,7 @@ impl<T: LedgerTx> ChainStore<T> {
 
     /// Blocks currently waiting for a parent.
     pub fn orphan_count(&self) -> usize {
-        self.orphans.values().map(Vec::len).sum()
+        self.orphan_ids.len()
     }
 
     /// The active chain ids, genesis first.
@@ -214,6 +252,16 @@ impl<T: LedgerTx> ChainStore<T> {
         Some(self.tip_height() - height + 1)
     }
 
+    /// Confirmation count of a transaction: the confirmations of the
+    /// lowest active block that holds it, or `None` if no active block
+    /// does. Answered from the tx index, not by scanning the chain.
+    pub fn tx_confirmations(&self, tx: &Digest) -> Option<u64> {
+        self.tx_index
+            .range((*tx, 0)..=(*tx, u64::MAX))
+            .next()
+            .map(|(_, height)| self.tip_height() - height + 1)
+    }
+
     /// Number of stored blocks *not* on the active chain — the
     /// orphaned/"stale" blocks of Fig. 4.
     pub fn stale_block_count(&self) -> usize {
@@ -224,25 +272,27 @@ impl<T: LedgerTx> ChainStore<T> {
     /// the most accumulated work. Connects any waiting orphans.
     pub fn insert(&mut self, block: Block<T>) -> InsertOutcome {
         let id = block.id();
-        if self.blocks.contains_key(&id) || self.is_pooled_orphan(&id) {
+        if self.blocks.contains_key(&id) || self.orphan_ids.contains(&id) {
             return InsertOutcome::Duplicate;
         }
         if block.header.is_genesis() {
             return InsertOutcome::Rejected(BlockError::UnexpectedGenesis);
         }
-        if !block.merkle_root_valid() {
+        let tx_ids = tx_ids_of(&block);
+        if merkle_root(&tx_ids) != block.header.merkle_root {
             return InsertOutcome::Rejected(BlockError::BadMerkleRoot);
         }
         if self.validate_pow && !pow_valid(&block.header) {
             return InsertOutcome::Rejected(BlockError::BadPow);
         }
-        if !self.blocks.contains_key(&block.header.parent) {
-            self.pool_orphan(block);
+        let offered = Offered { id, block, tx_ids };
+        if !self.blocks.contains_key(&offered.block.header.parent) {
+            self.pool_orphan(offered);
             return InsertOutcome::AwaitingParent;
         }
 
         let old_tip = self.tip();
-        if let Err(err) = self.connect(block) {
+        if let Err(err) = self.connect(offered) {
             return InsertOutcome::Rejected(err);
         }
         // Connecting one block may unlock a cascade of orphans.
@@ -250,21 +300,19 @@ impl<T: LedgerTx> ChainStore<T> {
         self.outcome_since(old_tip)
     }
 
-    fn is_pooled_orphan(&self, id: &Digest) -> bool {
-        self.orphans
-            .values()
-            .any(|list| list.iter().any(|b| b.id() == *id))
-    }
-
-    fn pool_orphan(&mut self, block: Block<T>) {
-        let parent = block.header.parent;
-        self.orphans.entry(parent).or_default().push(block);
-        self.orphan_arrivals.push(parent);
+    fn pool_orphan(&mut self, orphan: Offered<T>) {
+        let parent = orphan.block.header.parent;
+        self.orphan_ids.insert(orphan.id);
+        self.orphans.entry(parent).or_default().push(orphan);
+        self.orphan_arrivals.push_back(parent);
         if self.orphan_arrivals.len() > MAX_ORPHANS {
-            let victim_parent = self.orphan_arrivals.remove(0);
+            let Some(victim_parent) = self.orphan_arrivals.pop_front() else {
+                return;
+            };
             if let Some(list) = self.orphans.get_mut(&victim_parent) {
                 if !list.is_empty() {
-                    list.remove(0);
+                    let victim = list.remove(0);
+                    self.orphan_ids.remove(&victim.id);
                 }
                 if list.is_empty() {
                     self.orphans.remove(&victim_parent);
@@ -275,13 +323,13 @@ impl<T: LedgerTx> ChainStore<T> {
 
     /// Connects a block whose parent is present; updates indexes and
     /// possibly the active chain.
-    fn connect(&mut self, block: Block<T>) -> Result<(), BlockError> {
+    fn connect(&mut self, offered: Offered<T>) -> Result<(), BlockError> {
+        let Offered { id, block, tx_ids } = offered;
         let parent = &self.blocks[&block.header.parent];
         if block.header.height != parent.block.header.height + 1 {
             return Err(BlockError::BadHeight);
         }
         let chainwork = parent.chainwork + u128::from(block.header.difficulty);
-        let id = block.id();
         let parent_id = block.header.parent;
         let arrival = self.arrival_seq;
         self.arrival_seq += 1;
@@ -289,6 +337,7 @@ impl<T: LedgerTx> ChainStore<T> {
             id,
             StoredBlock {
                 block,
+                tx_ids,
                 chainwork,
                 arrival,
             },
@@ -311,9 +360,10 @@ impl<T: LedgerTx> ChainStore<T> {
                 continue;
             };
             self.orphan_arrivals.retain(|p| *p != parent);
-            for block in waiting {
-                let id = block.id();
-                if self.connect(block).is_ok() {
+            for orphan in waiting {
+                let id = orphan.id;
+                self.orphan_ids.remove(&id);
+                if self.connect(orphan).is_ok() {
                     ready.push(id);
                 }
             }
@@ -340,7 +390,17 @@ impl<T: LedgerTx> ChainStore<T> {
         }
         path.reverse();
         let fork_height = self.blocks[&path[0]].block.header.height as usize;
+        for (height, id) in self.active.iter().enumerate().skip(fork_height) {
+            for tx in &self.blocks[id].tx_ids {
+                self.tx_index.remove(&(*tx, height as u64));
+            }
+        }
         self.active.truncate(fork_height);
+        for (height, id) in path.iter().enumerate() {
+            let height = (fork_height + height) as u64;
+            self.tx_index
+                .extend(self.blocks[id].tx_ids.iter().map(|tx| (*tx, height)));
+        }
         self.active.extend(path);
     }
 
@@ -419,6 +479,11 @@ impl<T: LedgerTx> ChainStore<T> {
         }
         path.reverse();
         self.active = path;
+        self.tx_index.clear();
+        for (height, id) in self.active.iter().enumerate() {
+            self.tx_index
+                .extend(self.blocks[id].tx_ids.iter().map(|tx| (*tx, height as u64)));
+        }
         removed
     }
 
@@ -600,6 +665,72 @@ mod tests {
     }
 
     #[test]
+    fn evicted_orphan_offered_again_is_pooled_not_duplicate() {
+        let (mut s, _gid) = store();
+        // Orphans on distinct unknown parents; the first is evicted
+        // once the pool overflows.
+        let orphan = |tag: u64| {
+            let mut h = header(dlt_crypto::sha256::sha256(&tag.to_be_bytes()), 1);
+            h.timestamp_micros = tag;
+            Block::new(h, vec![TestTx::new(tag)])
+        };
+        let first = orphan(0);
+        assert_eq!(s.insert(first.clone()), InsertOutcome::AwaitingParent);
+        for tag in 1..=MAX_ORPHANS as u64 {
+            assert_eq!(s.insert(orphan(tag)), InsertOutcome::AwaitingParent);
+        }
+        assert_eq!(s.orphan_count(), MAX_ORPHANS);
+        assert_eq!(s.insert(first), InsertOutcome::AwaitingParent);
+        assert_eq!(s.orphan_count(), MAX_ORPHANS);
+        // The second-oldest was evicted in turn.
+        assert_eq!(s.insert(orphan(1)), InsertOutcome::AwaitingParent);
+        assert_eq!(
+            s.insert(orphan(MAX_ORPHANS as u64)),
+            InsertOutcome::Duplicate
+        );
+    }
+
+    #[test]
+    fn tx_confirmations_follow_extension_and_reorg() {
+        let (mut s, gid) = store();
+        let tx = TestTx::new(7).id();
+        let a1 = child(&s, gid, 1);
+        let a2 = Block::new(header(a1.id(), 2), vec![TestTx::new(7)]);
+        let b1 = child(&s, gid, 10);
+        let b2 = child_of(&b1, 11);
+        let b3 = child_of(&b2, 12);
+        s.insert(a1);
+        assert_eq!(s.tx_confirmations(&tx), None);
+        s.insert(a2);
+        assert_eq!(s.tx_confirmations(&tx), Some(1));
+        assert_eq!(s.tx_confirmations(&TestTx::new(1).id()), Some(2));
+        s.insert(b1);
+        s.insert(b2);
+        assert_eq!(s.tx_confirmations(&tx), Some(1), "tie keeps branch a");
+        assert!(matches!(s.insert(b3), InsertOutcome::Reorged { .. }));
+        assert_eq!(s.tx_confirmations(&tx), None, "reverted with branch a");
+        assert_eq!(s.tx_confirmations(&TestTx::new(1).id()), None);
+        assert_eq!(s.tx_confirmations(&TestTx::new(10).id()), Some(3));
+    }
+
+    #[test]
+    fn tx_in_two_active_blocks_counts_from_the_lowest() {
+        let (mut s, gid) = store();
+        let tx = TestTx::new(5);
+        let b1 = Block::new(header(gid, 1), vec![tx.clone()]);
+        let b2 = Block::new(header(b1.id(), 2), vec![tx.clone()]);
+        let b3 = child_of(&b2, 3);
+        let b1_id = b1.id();
+        s.insert(b1);
+        s.insert(b2);
+        s.insert(b3);
+        assert_eq!(s.tx_confirmations(&tx.id()), Some(3));
+        // Dropping the lower copy leaves the chain at genesis.
+        s.invalidate(&b1_id);
+        assert_eq!(s.tx_confirmations(&tx.id()), None);
+    }
+
+    #[test]
     fn orphan_cascade_connects_deep_chain() {
         let (mut s, gid) = store();
         let b1 = child(&s, gid, 1);
@@ -738,6 +869,8 @@ mod tests {
         // Falls back to the surviving branch.
         assert_eq!(s.tip(), b1_id);
         assert!(s.is_active(&b1_id));
+        assert_eq!(s.tx_confirmations(&TestTx::new(1).id()), None);
+        assert_eq!(s.tx_confirmations(&TestTx::new(10).id()), Some(1));
     }
 
     #[test]

@@ -337,16 +337,12 @@ impl EthereumChain {
             if self.roots.contains_key(id) {
                 continue; // already validated on a previous adoption
             }
-            let block = self
-                .chain
-                .block(id)
-                .expect("applied blocks are stored")
-                .clone();
+            let block = self.chain.block(id).expect("applied blocks are stored");
             let parent_root = self.roots[&block.header.parent];
             let producer = block.header.proposer;
             match self
                 .state
-                .apply_block(parent_root, &block, &producer, self.params.block_reward)
+                .apply_block(parent_root, block, &producer, self.params.block_reward)
             {
                 Ok((root, receipts)) => {
                     self.roots.insert(*id, root);
@@ -367,9 +363,8 @@ impl EthereumChain {
         }
         self.mempool.reinstate(reinstated);
         for id in &applied {
-            if let Some(block) = self.chain.block(id) {
-                let ids: Vec<Digest> = block.txs.iter().map(LedgerTx::id).collect();
-                self.mempool.remove_confirmed(ids);
+            if let Some(ids) = self.chain.tx_ids(id) {
+                self.mempool.remove_confirmed(ids.iter().copied());
             }
         }
         Ok(())
@@ -454,14 +449,9 @@ impl EthereumChain {
 
     /// Whether a transaction is confirmed at the configured depth.
     pub fn is_confirmed(&self, tx_id: &Digest) -> bool {
-        for (height, block_id) in self.chain.active_chain().iter().enumerate() {
-            let block = self.chain.block(block_id).expect("active blocks stored");
-            if block.txs.iter().any(|t| t.id() == *tx_id) {
-                let confs = self.chain.tip_height() - height as u64 + 1;
-                return confs >= self.params.confirmation_depth;
-            }
-        }
-        false
+        self.chain
+            .tx_confirmations(tx_id)
+            .is_some_and(|c| c >= self.params.confirmation_depth)
     }
 }
 

@@ -76,7 +76,7 @@ impl<T: LedgerTx> Mempool<T> {
                 .txs
                 .iter()
                 .map(|(id, t)| (*id, Self::fee_rate(t)))
-                .min_by(|a, b| a.1.partial_cmp(&b.1).expect("no NaN fee rates"))
+                .min_by(|a, b| a.1.total_cmp(&b.1))
             else {
                 return false;
             };
@@ -110,16 +110,16 @@ impl<T: LedgerTx> Mempool<T> {
     /// until [confirmed](Mempool::remove_confirmed) — the block might
     /// lose a fork race.
     pub fn select_for_block(&self, capacity_weight: u64) -> Vec<T> {
-        let mut candidates: Vec<&T> = self.txs.values().collect();
-        candidates.sort_by(|a, b| {
+        // Highest rate first; equal rates in ascending id (map key) order.
+        let mut candidates: Vec<(&Digest, &T)> = self.txs.iter().collect();
+        candidates.sort_by(|(a_id, a), (b_id, b)| {
             Self::fee_rate(b)
-                .partial_cmp(&Self::fee_rate(a))
-                .expect("no NaN fee rates")
-                .then_with(|| a.id().cmp(&b.id()))
+                .total_cmp(&Self::fee_rate(a))
+                .then_with(|| a_id.cmp(b_id))
         });
         let mut out = Vec::new();
         let mut used = 0u64;
-        for tx in candidates {
+        for (_, tx) in candidates {
             let w = tx.weight();
             if used + w > capacity_weight {
                 continue; // smaller later txs may still fit
@@ -225,6 +225,19 @@ mod tests {
         pool.reinstate(orphaned.clone());
         assert_eq!(pool.len(), 2);
         assert!(pool.contains(&orphaned[0].id()));
+    }
+
+    #[test]
+    fn equal_rates_come_out_in_ascending_id_order() {
+        let mut pool = Mempool::new(10);
+        for i in 0..8 {
+            pool.insert(tx(i, 10, 100));
+        }
+        let ids: Vec<Digest> = pool.select_for_block(800).iter().map(TestTx::id).collect();
+        let mut sorted = ids.clone();
+        sorted.sort();
+        assert_eq!(ids.len(), 8);
+        assert_eq!(ids, sorted);
     }
 
     #[test]

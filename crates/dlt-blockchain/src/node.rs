@@ -327,11 +327,9 @@ impl<T: LedgerTx> MinerNode<T> {
     }
 
     fn confirm_txs(&mut self, block_id: &Digest) {
-        let ids: Vec<Digest> = match self.chain.block(block_id) {
-            Some(block) => block.txs.iter().map(LedgerTx::id).collect(),
-            None => return,
-        };
-        self.mempool.remove_confirmed(ids);
+        if let Some(ids) = self.chain.tx_ids(block_id) {
+            self.mempool.remove_confirmed(ids.iter().copied());
+        }
     }
 }
 

@@ -17,9 +17,13 @@
 //! and produces the [`WorkloadReport`] rows the §V/§VI experiments
 //! print.
 
+use dlt_blockchain::account::AccountTx;
 use dlt_blockchain::bitcoin::{BitcoinChain, BitcoinParams};
+use dlt_blockchain::block::LedgerTx;
+use dlt_blockchain::chain::ChainStore;
 use dlt_blockchain::ethereum::{EthereumChain, EthereumParams};
-use dlt_blockchain::utxo::Wallet;
+use dlt_blockchain::mempool::Mempool;
+use dlt_blockchain::utxo::{UtxoTx, Wallet};
 use dlt_crypto::keys::Address;
 use dlt_crypto::Digest;
 use dlt_dag::account::NanoAccount;
@@ -85,6 +89,43 @@ pub trait DistributedLedger {
 }
 
 // ---------------------------------------------------------------------
+// Shared blockchain status
+// ---------------------------------------------------------------------
+
+/// What both chain adapters answer `status`/`stats` from: the block
+/// store's tx index, the mempool and the confirmation depth.
+struct ChainView<'a, T> {
+    store: &'a ChainStore<T>,
+    mempool: &'a Mempool<T>,
+    depth: u64,
+}
+
+impl<T: LedgerTx> ChainView<'_, T> {
+    fn status(&self, ticket: &Digest) -> TxStatus {
+        match self.store.tx_confirmations(ticket) {
+            Some(confirmations) if confirmations >= self.depth => TxStatus::Confirmed,
+            Some(confirmations) => TxStatus::Included { confirmations },
+            None if self.mempool.contains(ticket) => TxStatus::Pending,
+            None => TxStatus::Unknown,
+        }
+    }
+
+    fn stats(&self, submitted: u64, tickets: &[Digest], ledger_bytes: usize) -> LedgerStats {
+        let confirmed = tickets
+            .iter()
+            .filter(|t| self.status(t) == TxStatus::Confirmed)
+            .count() as u64;
+        LedgerStats {
+            submitted,
+            confirmed,
+            pending: self.mempool.len() as u64,
+            ledger_bytes,
+            blocks: self.store.tip_height() + 1,
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // Bitcoin adapter
 // ---------------------------------------------------------------------
 
@@ -143,6 +184,14 @@ impl BitcoinAdapter {
     pub fn chain(&self) -> &BitcoinChain {
         &self.chain
     }
+
+    fn view(&self) -> ChainView<'_, UtxoTx> {
+        ChainView {
+            store: self.chain.chain(),
+            mempool: self.chain.mempool(),
+            depth: self.chain.params().confirmation_depth,
+        }
+    }
 }
 
 impl DistributedLedger for BitcoinAdapter {
@@ -158,7 +207,7 @@ impl DistributedLedger for BitcoinAdapter {
         let recipient = self.wallets[to].new_address();
         self.actor_addresses[to].push(recipient);
         let tx = self.wallets[from].build_transfer(self.chain.ledger(), recipient, amount, 1)?;
-        let id = dlt_blockchain::block::LedgerTx::id(&tx);
+        let id = tx.id();
         if self.chain.submit_tx(tx) {
             self.submitted += 1;
             self.tickets.push(id);
@@ -178,40 +227,15 @@ impl DistributedLedger for BitcoinAdapter {
     }
 
     fn status(&self, ticket: &Digest) -> TxStatus {
-        if self.chain.is_confirmed(ticket) {
-            return TxStatus::Confirmed;
-        }
-        // Included but not deep enough?
-        for (height, block_id) in self.chain.chain().active_chain().iter().enumerate() {
-            let block = self.chain.chain().block(block_id).expect("active stored");
-            if block
-                .txs
-                .iter()
-                .any(|t| dlt_blockchain::block::LedgerTx::id(t) == *ticket)
-            {
-                let confirmations = self.chain.chain().tip_height() - height as u64 + 1;
-                return TxStatus::Included { confirmations };
-            }
-        }
-        if self.chain.mempool().contains(ticket) {
-            return TxStatus::Pending;
-        }
-        TxStatus::Unknown
+        self.view().status(ticket)
     }
 
     fn stats(&self) -> LedgerStats {
-        let confirmed = self
-            .tickets
-            .iter()
-            .filter(|t| self.chain.is_confirmed(t))
-            .count() as u64;
-        LedgerStats {
-            submitted: self.submitted,
-            confirmed,
-            pending: self.chain.mempool().len() as u64,
-            ledger_bytes: self.chain.chain().total_bytes(),
-            blocks: self.chain.chain().tip_height() + 1,
-        }
+        self.view().stats(
+            self.submitted,
+            &self.tickets,
+            self.chain.chain().total_bytes(),
+        )
     }
 }
 
@@ -271,6 +295,14 @@ impl EthereumAdapter {
     pub fn chain(&self) -> &EthereumChain {
         &self.chain
     }
+
+    fn view(&self) -> ChainView<'_, AccountTx> {
+        ChainView {
+            store: self.chain.chain(),
+            mempool: self.chain.mempool(),
+            depth: self.chain.params().confirmation_depth,
+        }
+    }
 }
 
 impl DistributedLedger for EthereumAdapter {
@@ -288,7 +320,7 @@ impl DistributedLedger for EthereumAdapter {
         }
         let to_address = self.holders[to].address();
         let tx = self.holders[from].transfer(to_address, amount, 1);
-        let id = dlt_blockchain::block::LedgerTx::id(&tx);
+        let id = tx.id();
         if self.chain.submit_tx(tx) {
             self.submitted += 1;
             self.tickets.push(id);
@@ -308,40 +340,14 @@ impl DistributedLedger for EthereumAdapter {
     }
 
     fn status(&self, ticket: &Digest) -> TxStatus {
-        if self.chain.is_confirmed(ticket) {
-            return TxStatus::Confirmed;
-        }
-        for (height, block_id) in self.chain.chain().active_chain().iter().enumerate() {
-            let block = self.chain.chain().block(block_id).expect("active stored");
-            if block
-                .txs
-                .iter()
-                .any(|t| dlt_blockchain::block::LedgerTx::id(t) == *ticket)
-            {
-                let confirmations = self.chain.chain().tip_height() - height as u64 + 1;
-                return TxStatus::Included { confirmations };
-            }
-        }
-        if self.chain.mempool().contains(ticket) {
-            return TxStatus::Pending;
-        }
-        TxStatus::Unknown
+        self.view().status(ticket)
     }
 
     fn stats(&self) -> LedgerStats {
-        let confirmed = self
-            .tickets
-            .iter()
-            .filter(|t| self.chain.is_confirmed(t))
-            .count() as u64;
-        LedgerStats {
-            submitted: self.submitted,
-            confirmed,
-            pending: self.chain.mempool().len() as u64,
-            ledger_bytes: self.chain.chain().total_bytes()
-                + self.chain.state().trie().total_bytes(),
-            blocks: self.chain.chain().tip_height() + 1,
-        }
+        let ledger_bytes =
+            self.chain.chain().total_bytes() + self.chain.state().trie().total_bytes();
+        self.view()
+            .stats(self.submitted, &self.tickets, ledger_bytes)
     }
 }
 

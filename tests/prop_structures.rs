@@ -1,9 +1,11 @@
 //! Property tests over chain, mempool, channel, sharding and tangle
 //! structures, on the in-repo `dlt_testkit::prop!` harness.
 
-use dlt_blockchain::block::testsupport::{test_block, test_genesis, test_tx};
+use dlt_blockchain::block::testsupport::{test_block, test_genesis, test_header, test_tx, TestTx};
+use dlt_blockchain::block::{Block, LedgerTx};
 use dlt_blockchain::chain::ChainStore;
 use dlt_blockchain::mempool::Mempool;
+use dlt_crypto::Digest;
 use dlt_scaling::channels::{ChannelNetwork, ChannelPair};
 use dlt_scaling::sharding::{ShardedNetwork, ShardingParams};
 use dlt_sim::rng::SimRng;
@@ -38,6 +40,95 @@ prop! {
         assert_eq!(store.orphan_count(), 0, "everything connected");
         assert_eq!(store.tip(), heavy_tip, "most work wins regardless of order");
         assert_eq!(store.block_count(), 6);
+    }
+}
+
+/// The reference answer for the tx index: scan the active chain,
+/// genesis first, and count confirmations from the first block that
+/// holds the transaction.
+fn scanned_confirmations(store: &ChainStore<TestTx>, tx: &Digest) -> Option<u64> {
+    store
+        .iter_active()
+        .position(|block| block.txs.iter().any(|t| t.id() == *tx))
+        .map(|height| store.tip_height() - height as u64 + 1)
+}
+
+prop! {
+    /// Chain store: the tx index answers `tx_confirmations` exactly as
+    /// a full active-chain scan does, through extensions, forks,
+    /// reorgs, out-of-order orphans and invalidations. Transactions
+    /// come from a small tag set, so one transaction often sits in
+    /// several blocks, on one branch or across branches.
+    fn chain_store_tx_index_matches_scan(g, cases = 48) {
+        const TAGS: u64 = 12;
+        let genesis = test_genesis();
+        let mut store = ChainStore::new(genesis.clone(), false);
+        let mut made = vec![genesis];
+        let mut withheld: Vec<Block<TestTx>> = Vec::new();
+        let mut serial = 0u64;
+        let mut child = |g: &mut dlt_testkit::prop::Gen, parent: &Block<TestTx>, txs: Vec<u64>| {
+            serial += 1;
+            let mut header = test_header(parent.id(), parent.header.height + 1, g.u64_in(1, 4));
+            header.timestamp_micros = serial;
+            let txs = txs.into_iter().map(|tag| test_tx(tag, 1, 100)).collect();
+            Block::new(header, txs)
+        };
+        // Tag 0 in two consecutive active blocks: the lower one counts.
+        let b1 = child(g, &made[0], vec![0]);
+        let b2 = child(g, &b1, vec![0, 1]);
+        for block in [b1, b2] {
+            let _ = store.insert(block.clone());
+            made.push(block);
+        }
+        assert_eq!(store.tx_confirmations(&test_tx(0, 1, 100).id()), Some(2));
+
+        for _ in 0..g.usize_in(1, 30) {
+            let txs = g.vec_in(0, 4, |g| g.u64_below(TAGS));
+            let stored: Vec<usize> =
+                (0..made.len()).filter(|&i| store.contains(&made[i].id())).collect();
+            let pick = stored[g.usize_in(0, stored.len())];
+            match g.u64_below(5) {
+                // Extend the tip.
+                0 => {
+                    let tip = store.block(&store.tip()).expect("tip stored").clone();
+                    let block = child(g, &tip, txs);
+                    let _ = store.insert(block.clone());
+                    made.push(block);
+                }
+                // Fork from any stored block (reorgs when it wins).
+                1 => {
+                    let block = child(g, &made[pick], txs);
+                    let _ = store.insert(block.clone());
+                    made.push(block);
+                }
+                // Deliver a grandchild before its parent.
+                2 => {
+                    let parent = child(g, &made[pick], txs.clone());
+                    let orphan = child(g, &parent, txs);
+                    let _ = store.insert(orphan.clone());
+                    made.push(parent.clone());
+                    made.push(orphan);
+                    withheld.push(parent);
+                }
+                // Deliver a withheld parent, connecting its orphans.
+                3 if !withheld.is_empty() => {
+                    let block = withheld.remove(g.usize_in(0, withheld.len()));
+                    let _ = store.insert(block);
+                }
+                // Invalidate a stored subtree (genesis is refused).
+                _ => {
+                    store.invalidate(&made[pick].id());
+                }
+            }
+            for tag in 0..TAGS {
+                let tx = test_tx(tag, 1, 100).id();
+                assert_eq!(
+                    store.tx_confirmations(&tx),
+                    scanned_confirmations(&store, &tx),
+                    "tag {tag}"
+                );
+            }
+        }
     }
 }
 
