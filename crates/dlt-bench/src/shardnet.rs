@@ -1,15 +1,14 @@
 //! Measured sharding workload for e13 (paper §VI-A).
 //!
-//! Replaces the analytic fluid model as the *measured* side of the e13
-//! table: each shard is a real [`Simulation`] — one validator plus
-//! gossip replicas — driven through the parallel shard executor
-//! ([`dlt_sim::shard`]). The validator is an M/D/1 queue with capacity
-//! `C` tx/s; a fraction `f` of submitted transactions are cross-shard
-//! two-phase transfers (debit at the home shard, credit at the
-//! destination), and inbound credits are prioritised over fresh
-//! submissions — the same queueing discipline as the analytic
-//! `dlt-scaling::sharding::ShardedNetwork`, so the measured column can
-//! be read against the `K·C/(1+f)` ceiling.
+//! The *measured* side of the e13 table: each shard is a real
+//! [`Simulation`] — one validator plus gossip replicas — driven through
+//! the parallel shard executor ([`dlt_sim::shard`]). The validator is
+//! an M/D/1 queue with capacity `C` tx/s; a fraction `f` of submitted
+//! transactions are cross-shard two-phase transfers (debit at the home
+//! shard, credit at the destination), and inbound credits are
+//! prioritised over fresh submissions, so the measured column can be
+//! read against the `K·C/(1+f)` ceiling of
+//! `dlt-scaling::sharding::ShardingParams::theoretical_tps`.
 //!
 //! Cross-shard debits travel between shards only at epoch barriers
 //! (sorted by `(sent_at, seq, src)`, delivered at `epoch_end +
@@ -421,8 +420,8 @@ pub fn run_cell(params: &ShardNetParams, threads: usize) -> CellOutcome {
     }
 }
 
-/// The e13 sweep-cell parameters shared by the experiment binary, the
-/// determinism tests, and the shard bench: per-cell seed derived from
+/// The e13 sweep-cell parameters shared by the experiment binary and
+/// the determinism tests: per-cell seed derived from
 /// `(experiment, K, f_index)` so every sweep point is independently
 /// reproducible.
 pub fn cell_params(k: usize, f: f64, f_index: usize, smoke: bool) -> ShardNetParams {

@@ -8,8 +8,10 @@
 //!   crates. Hash iteration order is randomized per process; anything
 //!   it feeds becomes run-dependent. Use `BTreeMap`/`BTreeSet` or
 //!   collect-and-sort.
-//! * **D2** — wall-clock sources (`Instant`, `SystemTime`) anywhere
-//!   but the micro-bench harness. Simulated time comes from `SimTime`.
+//! * **D2** — wall-clock sources (`Instant`, `SystemTime`) anywhere in
+//!   the scanned sources, with no exempt file. Simulated time comes
+//!   from `SimTime`; host time is measured only by `perfbench`, which
+//!   lives outside `crates/`.
 //! * **D3** — randomness not derived from the seeded SimRng/xoshiro
 //!   path (`thread_rng`, `OsRng`, `RandomState`, …).
 //! * **D4** — float accumulation (`.sum::<f64>()`, float `fold`) over
@@ -98,7 +100,7 @@ impl Rule {
     pub fn hint(self) -> &'static str {
         match self {
             Rule::D1 => "iterate an ordered collection (BTreeMap/BTreeSet) or collect-and-sort before iterating",
-            Rule::D2 => "use SimTime for simulated time; wall-clock reads belong only in dlt-testkit::bench",
+            Rule::D2 => "use SimTime for simulated time; measure host time with perfbench, outside crates/",
             Rule::D3 => "derive all randomness from the seeded SimRng (dlt-sim::rng) / dlt-testkit xoshiro path",
             Rule::D4 => "sum floats in a deterministic order: sort first or iterate an ordered collection",
             Rule::D5 => "keep the sim hot loop panic-free: use get()/get_mut() with an explicit branch",

@@ -15,10 +15,6 @@ use crate::{Finding, Rule};
 /// (D1) and unordered float accumulation (D4) are checked here.
 pub const SIM_CRATES: [&str; 4] = ["dlt-sim", "dlt-blockchain", "dlt-dag", "dlt-scaling"];
 
-/// The only file allowed to read the wall clock (the micro-bench
-/// harness measures real elapsed time by definition).
-pub const WALL_CLOCK_EXEMPT: &str = "crates/dlt-testkit/src/bench.rs";
-
 /// The one sanctioned home of `std::thread`/`std::sync` in the
 /// simulator: the epoch-barrier shard executor (checked by D6
 /// everywhere else in the sim crates).
@@ -506,9 +502,7 @@ pub fn scan(path: &str, code: &str) -> Vec<Finding> {
             scan_d6(path, code, &starts, &mut out);
         }
     }
-    if !path.ends_with(WALL_CLOCK_EXEMPT) {
-        scan_d2(path, code, &starts, &mut out);
-    }
+    scan_d2(path, code, &starts, &mut out);
     scan_d3(path, code, &starts, &mut out);
     scan_d5(path, code, &starts, &mut out);
     out.retain(|f| f.line < test_start);

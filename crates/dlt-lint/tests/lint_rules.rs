@@ -59,15 +59,6 @@ fn d2_flags_wall_clock_reads() {
 }
 
 #[test]
-fn d2_exempts_the_bench_harness() {
-    let findings = lint_file(
-        "crates/dlt-testkit/src/bench.rs",
-        include_str!("fixtures/d2_wall_clock.rs"),
-    );
-    assert!(findings.is_empty(), "{findings:?}");
-}
-
-#[test]
 fn d3_flags_non_seeded_randomness() {
     let findings = lint_file(
         "crates/dlt-bench/src/fixture.rs",

@@ -1,6 +1,6 @@
 //! A minimal JSON document model: a writer and a strict parser.
 //!
-//! The bench harness and the experiment binaries emit machine-readable
+//! The experiment binaries and `perfbench` emit machine-readable
 //! results as JSON, and the CI smoke test parses them back. This module
 //! is intentionally small: it supports exactly the JSON data model
 //! (null, bool, number, string, array, object) with deterministic

@@ -345,7 +345,7 @@ pub fn check(name: &str, cases: u32, f: impl Fn(&mut Gen)) {
     }
 }
 
-/// Declares a property test. See the [module docs](crate::prop) for
+/// Declares a property test. See the [module docs](mod@crate::prop) for
 /// the draw API and shrinking semantics.
 ///
 /// Accepts an optional `cases = N` (default 64):

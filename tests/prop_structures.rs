@@ -1,14 +1,14 @@
-//! Property tests over chain, mempool, channel, sharding and tangle
+//! Property tests over chain, mempool, channel, sharding, Plasma and tangle
 //! structures, on the in-repo `dlt_testkit::prop!` harness.
 
+use dlt_bench::shardnet::{run_cell, ShardNetParams};
 use dlt_blockchain::block::testsupport::{test_block, test_genesis, test_header, test_tx, TestTx};
 use dlt_blockchain::block::{Block, LedgerTx};
 use dlt_blockchain::chain::ChainStore;
 use dlt_blockchain::mempool::Mempool;
 use dlt_crypto::Digest;
 use dlt_scaling::channels::{ChannelNetwork, ChannelPair};
-use dlt_scaling::sharding::{ShardedNetwork, ShardingParams};
-use dlt_sim::rng::SimRng;
+use dlt_sim::time::SimTime;
 use dlt_testkit::prop;
 
 prop! {
@@ -181,26 +181,39 @@ prop! {
 }
 
 prop! {
-    /// Sharding conserves transactions: submitted = completed + backlog.
-    fn sharding_conserves_transactions(g, cases = 48) {
-        let k = g.usize_in(1, 8);
-        let f = g.f64_in(0.0, 1.0);
-        let load = g.u64_in(1, 500);
-        let steps = g.usize_in(1, 50);
-        let mut net = ShardedNetwork::new(ShardingParams {
-            shards: k,
-            per_shard_rate: 20.0,
-            cross_shard_fraction: f,
-        });
-        let mut rng = SimRng::new(9);
-        net.submit(load, &mut rng);
-        for _ in 0..steps {
-            net.step(0.1);
+    /// Sharding conserves transactions on the measured shard model
+    /// (`dlt_bench::shardnet`), under- and over-loaded alike: every
+    /// completed debit is exchanged or left over, credits never outrun
+    /// the debits exchanged, a single shard has no cross traffic, and
+    /// replicas hear of no more commits than validators made.
+    fn sharding_conserves_transactions(g, cases = 24) {
+        let shards = g.usize_in(1, 8);
+        let replicas = g.usize_in(0, 3);
+        let params = ShardNetParams {
+            shards,
+            capacity: 20.0,
+            cross_fraction: g.f64_in(0.0, 1.0),
+            offered_per_shard: g.f64_in(2.0, 60.0),
+            duration: g.f64_in(0.2, 2.0),
+            epoch_len: SimTime::from_millis(300),
+            cross_latency: SimTime::from_millis(50),
+            replicas,
+            seed: g.any_u64(),
+        };
+        let out = run_cell(&params, 1);
+        let m = &out.metrics;
+        let debits = m.count("tx.cross_debits");
+        assert_eq!(debits, out.cross_messages + out.undelivered);
+        assert!(m.count("tx.completed_cross") <= out.cross_messages);
+        if shards == 1 {
+            assert_eq!(debits, 0);
+            assert_eq!(m.count("tx.completed_cross"), 0);
         }
-        assert!(net.completed() + net.backlog() as u64 >= net.submitted());
-        // (Cross-shard txs appear in backlog as one phase each; the
-        // inequality is ≥ because a cross tx mid-flight counts once.)
-        assert!(net.completed() <= net.submitted());
+        // Each service completion (a completed tx or a debit) is
+        // announced once to every replica; gossip still in flight at
+        // the end of the run is not counted.
+        let announced = replicas as u64 * (out.completed + debits);
+        assert!(m.count("replica.applied") <= announced);
     }
 }
 

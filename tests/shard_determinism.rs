@@ -194,6 +194,20 @@ dlt_testkit::prop! {
         assert_eq!(serial.completed, parallel.completed);
         assert_eq!(serial.combined_hash, parallel.combined_hash);
         assert_eq!(serial.metrics.to_string(), parallel.metrics.to_string());
+
+        // Transaction accounting: every completed debit was exchanged
+        // at a barrier or left over by the final epoch, no more credits
+        // complete than were exchanged, and no validator completes more
+        // than one job per M/D/1 service slot.
+        let m = &serial.metrics;
+        assert_eq!(
+            m.count("tx.cross_debits"),
+            serial.cross_messages + serial.undelivered
+        );
+        assert!(m.count("tx.completed_cross") <= serial.cross_messages);
+        let service = SimTime::from_secs_f64(1.0 / params.capacity).as_secs_f64();
+        let slots = shards as u64 * (params.duration / service).ceil() as u64;
+        assert!(serial.completed <= slots, "{} > {slots}", serial.completed);
     }
 }
 
