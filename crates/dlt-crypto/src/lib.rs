@@ -5,7 +5,9 @@
 //! external cryptography dependencies:
 //!
 //! * [`sha256`] — a FIPS 180-4 SHA-256 implementation (streaming and
-//!   one-shot), plus the double-SHA-256 variant blockchains use.
+//!   one-shot), plus the double-SHA-256 variant blockchains use. It runs
+//!   on the CPU's SHA extensions where present and on a portable kernel
+//!   elsewhere, with identical output.
 //! * [`digest`] — the [`Digest`] newtype for 256-bit
 //!   hashes, with target/difficulty helpers used by proof-of-work.
 //! * [`hexutil`] — minimal hex encoding/decoding for display and tests.
@@ -34,7 +36,10 @@
 //! assert!(proof.verify(&tree.root(), &leaves[1]));
 //! ```
 
-#![forbid(unsafe_code)]
+// One `unsafe` block is allowed, in `sha256`: the call into the SHA-NI
+// kernel after CPU feature detection. Every other crate forbids unsafe
+// code, and a dlt-lint test keeps it that way.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod codec;

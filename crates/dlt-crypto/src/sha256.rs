@@ -1,9 +1,26 @@
 //! A from-scratch implementation of SHA-256 (FIPS 180-4).
 //!
 //! Provides a streaming hasher ([`Sha256`]) and one-shot helpers
-//! ([`sha256`], [`double_sha256`], [`sha256_concat`]). The
-//! implementation is pure safe Rust and is validated against the FIPS
-//! 180-4 / NIST test vectors in the unit tests.
+//! ([`sha256`], [`double_sha256`], [`sha256_concat`]), validated against
+//! the FIPS 180-4 / NIST test vectors in the unit tests.
+//!
+//! The compression function has two kernels behind one private
+//! `compress`, chosen at run time:
+//!
+//! * On x86-64 CPUs with the SHA extensions (`sha`, with SSSE3 and
+//!   SSE4.1), a kernel built on the `sha256rnds2`/`sha256msg1`/
+//!   `sha256msg2` instructions from `std::arch`. It is a safe
+//!   `#[target_feature]` function: words enter and leave its vectors by
+//!   value, with no pointer loads.
+//! * Everywhere else, the portable kernel in plain Rust. Tests also use
+//!   it as the reference the SHA-NI kernel must match.
+//!
+//! `is_x86_feature_detected!` picks the kernel on each call; std caches
+//! the CPU query. Calling a `#[target_feature]` function is `unsafe`
+//! only because the CPU must have those features, so that call, right
+//! after the detection, is the one `unsafe` block in the workspace. Both
+//! kernels compute the same function, so every digest is the same on
+//! every host.
 //!
 //! Blockchains conventionally use the *double* hash
 //! `SHA-256(SHA-256(x))` for block and transaction identifiers; the DAG
@@ -84,51 +101,72 @@ impl Sha256 {
             self.buf_len += take;
             data = &data[take..];
             if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
+                compress(&mut self.state, &self.buf);
                 self.len += 64;
                 self.buf_len = 0;
             }
         }
         // Process whole blocks directly from the input.
-        while data.len() >= 64 {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(&data[..64]);
-            self.compress(&block);
-            self.len += 64;
-            data = &data[64..];
+        let (blocks, tail) = data.split_at(data.len() - data.len() % 64);
+        if !blocks.is_empty() {
+            compress(&mut self.state, blocks);
+            self.len += blocks.len() as u64;
         }
         // Buffer the tail.
-        if !data.is_empty() {
-            self.buf[..data.len()].copy_from_slice(data);
-            self.buf_len = data.len();
+        if !tail.is_empty() {
+            self.buf[..tail.len()].copy_from_slice(tail);
+            self.buf_len = tail.len();
         }
     }
 
     /// Finishes the hash computation and returns the digest.
     pub fn finalize(mut self) -> Digest {
         let total_bits = (self.len + self.buf_len as u64).wrapping_mul(8);
-        // Append the 0x80 terminator.
-        let mut pad = [0u8; 72];
-        pad[0] = 0x80;
-        // Pad with zeros until the message length is 56 mod 64, then the
-        // 64-bit big-endian bit length.
-        let rem = (self.len as usize + self.buf_len + 1) % 64;
-        let zeros = if rem <= 56 { 56 - rem } else { 120 - rem };
-        let mut tail = Vec::with_capacity(1 + zeros + 8);
-        tail.extend_from_slice(&pad[..1 + zeros]);
-        tail.extend_from_slice(&total_bits.to_be_bytes());
-        self.update(&tail);
-        debug_assert_eq!(self.buf_len, 0, "padding must end on a block boundary");
+        // The buffered tail, the 0x80 terminator, zeros until the length
+        // is 56 mod 64, then the 64-bit big-endian bit length: one block
+        // when the tail leaves room for the 9 bytes, else two.
+        let mut pad = [0u8; 128];
+        pad[..self.buf_len].copy_from_slice(&self.buf[..self.buf_len]);
+        pad[self.buf_len] = 0x80;
+        let end = if self.buf_len < 56 { 64 } else { 128 };
+        pad[end - 8..end].copy_from_slice(&total_bits.to_be_bytes());
+        compress(&mut self.state, &pad[..end]);
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
         }
         Digest::from_bytes(out)
     }
+}
 
-    /// The SHA-256 compression function over one 512-bit block.
-    fn compress(&mut self, block: &[u8; 64]) {
+/// Runs the compression function over each 64-byte block of `blocks`
+/// (whose length is a multiple of 64), on the SHA-NI kernel when the CPU
+/// has the SHA extensions and on the portable kernel otherwise.
+fn compress(state: &mut [u32; 8], blocks: &[u8]) {
+    debug_assert_eq!(blocks.len() % 64, 0, "whole blocks only");
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("sha")
+        && std::arch::is_x86_feature_detected!("ssse3")
+        && std::arch::is_x86_feature_detected!("sse4.1")
+    {
+        // SAFETY: `compress_shani` is safe code whose only requirement
+        // is that the CPU supports the features it enables: SHA,
+        // SSSE3 and SSE4.1 were detected just above, and SSE2 is part
+        // of the x86-64 baseline.
+        #[allow(unsafe_code)]
+        unsafe {
+            shani::compress_shani(state, blocks)
+        };
+        return;
+    }
+    compress_portable(state, blocks);
+}
+
+/// The portable compression kernel: FIPS 180-4 §6.2.2, one block at a
+/// time. It runs on every host without the SHA extensions, and tests
+/// use it as the reference for the SHA-NI kernel.
+fn compress_portable(state: &mut [u32; 8], blocks: &[u8]) {
+    for block in blocks.chunks_exact(64) {
         let mut w = [0u32; 64];
         for (i, chunk) in block.chunks_exact(4).enumerate() {
             w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
@@ -142,7 +180,7 @@ impl Sha256 {
                 .wrapping_add(s1);
         }
 
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
 
         for i in 0..64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
@@ -165,14 +203,86 @@ impl Sha256 {
             a = t1.wrapping_add(t2);
         }
 
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        state[0] = state[0].wrapping_add(a);
+        state[1] = state[1].wrapping_add(b);
+        state[2] = state[2].wrapping_add(c);
+        state[3] = state[3].wrapping_add(d);
+        state[4] = state[4].wrapping_add(e);
+        state[5] = state[5].wrapping_add(f);
+        state[6] = state[6].wrapping_add(g);
+        state[7] = state[7].wrapping_add(h);
+    }
+}
+
+/// The SHA-NI compression kernel (x86-64 SHA extensions).
+#[cfg(target_arch = "x86_64")]
+mod shani {
+    use super::K;
+    use std::arch::x86_64::{
+        __m128i, _mm_add_epi32, _mm_alignr_epi8, _mm_extract_epi32, _mm_set_epi32,
+        _mm_sha256msg1_epu32, _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32, _mm_shuffle_epi32,
+    };
+
+    /// Four consecutive 32-bit words as one vector, first word in lane 0.
+    #[target_feature(enable = "sse2")]
+    fn words(w: [u32; 4]) -> __m128i {
+        _mm_set_epi32(w[3] as i32, w[2] as i32, w[1] as i32, w[0] as i32)
+    }
+
+    /// The same function as [`super::compress_portable`]. `sha256rnds2`
+    /// runs two rounds on a state split as (A, B, E, F) and (C, D, G, H);
+    /// `sha256msg1`/`sha256msg2` extend the message schedule four words
+    /// at a time.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    pub(super) fn compress_shani(state: &mut [u32; 8], blocks: &[u8]) {
+        let [a, b, c, d, e, f, g, h] = state.map(|x| x as i32);
+        let mut abef = _mm_set_epi32(a, b, e, f);
+        let mut cdgh = _mm_set_epi32(c, d, g, h);
+
+        for block in blocks.chunks_exact(64) {
+            let mut w = [words([0; 4]); 4];
+            for (group, bytes) in w.iter_mut().zip(block.chunks_exact(16)) {
+                let mut be = [0u32; 4];
+                for (word, chunk) in be.iter_mut().zip(bytes.chunks_exact(4)) {
+                    *word = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+                }
+                *group = words(be);
+            }
+            let (abef_in, cdgh_in) = (abef, cdgh);
+
+            for (i, k) in K.chunks_exact(4).enumerate() {
+                if i >= 4 {
+                    // W[t] for the next four t from the sixteen before:
+                    // msg1 adds σ0(W[t-15]) to W[t-16], the alignr picks
+                    // W[t-7], and msg2 adds σ1(W[t-2]).
+                    let (m0, m1, m2, m3) =
+                        (w[i % 4], w[(i + 1) % 4], w[(i + 2) % 4], w[(i + 3) % 4]);
+                    let t =
+                        _mm_add_epi32(_mm_sha256msg1_epu32(m0, m1), _mm_alignr_epi8::<4>(m3, m2));
+                    w[i % 4] = _mm_sha256msg2_epu32(t, m3);
+                }
+                let wk = _mm_add_epi32(w[i % 4], words([k[0], k[1], k[2], k[3]]));
+                // Each double-round returns the new (A, B, E, F); the
+                // (A, B, E, F) it was given is the new (C, D, G, H).
+                cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+                abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32::<0x0E>(wk));
+            }
+
+            abef = _mm_add_epi32(abef, abef_in);
+            cdgh = _mm_add_epi32(cdgh, cdgh_in);
+        }
+
+        *state = [
+            _mm_extract_epi32::<3>(abef),
+            _mm_extract_epi32::<2>(abef),
+            _mm_extract_epi32::<3>(cdgh),
+            _mm_extract_epi32::<2>(cdgh),
+            _mm_extract_epi32::<1>(abef),
+            _mm_extract_epi32::<0>(abef),
+            _mm_extract_epi32::<1>(cdgh),
+            _mm_extract_epi32::<0>(cdgh),
+        ]
+        .map(|x| x as u32);
     }
 }
 
@@ -245,15 +355,55 @@ mod tests {
         );
     }
 
+    /// SHA-256 of `data` with the padding built independently of
+    /// `finalize` and every block run on the portable kernel.
+    fn portable_reference(data: &[u8]) -> Digest {
+        let mut msg = data.to_vec();
+        msg.push(0x80);
+        while msg.len() % 64 != 56 {
+            msg.push(0);
+        }
+        msg.extend_from_slice(&((data.len() as u64) * 8).to_be_bytes());
+        let mut state = H0;
+        compress_portable(&mut state, &msg);
+        let mut out = [0u8; 32];
+        for (i, word) in state.iter().enumerate() {
+            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+        }
+        Digest::from_bytes(out)
+    }
+
+    #[test]
+    fn kernels_agree() {
+        // On a host with the SHA extensions `compress` runs the SHA-NI
+        // kernel, elsewhere the portable one; either way it must match
+        // the portable kernel on one call over many blocks.
+        for blocks in 1..=40usize {
+            let data: Vec<u8> = (0..blocks * 64).map(|i| (i * 131 + blocks) as u8).collect();
+            let mut portable = H0;
+            compress_portable(&mut portable, &data);
+            let mut dispatched = H0;
+            compress(&mut dispatched, &data);
+            assert_eq!(dispatched, portable, "{blocks} blocks");
+        }
+    }
+
     #[test]
     fn streaming_matches_oneshot_at_all_split_points() {
+        // Every length up to 300 (both padding branches, up to five
+        // whole blocks), split at every point, against the portable
+        // kernel.
         let data: Vec<u8> = (0u16..300).map(|i| (i % 251) as u8).collect();
-        let expect = sha256(&data);
-        for split in 0..data.len() {
-            let mut h = Sha256::new();
-            h.update(&data[..split]);
-            h.update(&data[split..]);
-            assert_eq!(h.finalize(), expect, "split at {split}");
+        for len in 0..=data.len() {
+            let data = &data[..len];
+            let expect = portable_reference(data);
+            assert_eq!(sha256(data), expect, "one-shot, len {len}");
+            for split in 0..=len {
+                let mut h = Sha256::new();
+                h.update(&data[..split]);
+                h.update(&data[split..]);
+                assert_eq!(h.finalize(), expect, "len {len}, split at {split}");
+            }
         }
     }
 

@@ -1,0 +1,52 @@
+//! Golden values pinned across the layers built on SHA-256: MSS keys,
+//! WOTS recovery, Merkle roots and the double hash of a transfer-sized
+//! buffer. Every ledger id, signature and benchmark digest derives from
+//! these functions, so a compression kernel that disagrees with FIPS
+//! 180-4 on any input shape fails here instead of silently moving
+//! experiment output.
+
+use dlt_crypto::merkle::MerkleTree;
+use dlt_crypto::mss::MssKeypair;
+use dlt_crypto::sha256::{double_sha256, sha256};
+use dlt_crypto::wots::WotsKeypair;
+
+#[test]
+fn mss_public_digest_is_pinned() {
+    assert_eq!(
+        MssKeypair::from_seed([1; 32], 3).public_digest().to_hex(),
+        "7a348b1b9a401bdf2b22aee9c0fae2bc48c0952fa722a661faad862d945cb883"
+    );
+}
+
+#[test]
+fn wots_recovered_public_is_pinned() {
+    let msg = sha256(b"golden transfer");
+    let sig = WotsKeypair::from_seed([2; 32]).sign(&msg);
+    assert_eq!(
+        sig.recover_public(&msg).expect("well-formed").to_hex(),
+        "b698305c2a4a541e4ed3b44b2a0645addf160e796eba5bc5727988c8d988877a"
+    );
+}
+
+#[test]
+fn merkle_root_is_pinned() {
+    // Five leaves: the odd level exercises the duplicate-last rule.
+    let leaves = (0..5)
+        .map(|i| sha256(format!("tx{i}").as_bytes()))
+        .collect();
+    assert_eq!(
+        MerkleTree::from_leaves(leaves).root().to_hex(),
+        "16eef23ee6e2c2a9a42a944da0f25b543af1d834b60e594d60c417ed4e38cb1a"
+    );
+}
+
+#[test]
+fn double_sha256_of_transfer_sized_buffer_is_pinned() {
+    // About the size of a WOTS-signed transfer (~2.3 KB), the input the
+    // chain node hashes on every delivery.
+    let buf: Vec<u8> = (0..2300u32).map(|i| (i * 31 % 251) as u8).collect();
+    assert_eq!(
+        double_sha256(&buf).to_hex(),
+        "964ada6d767c1cc10865d7269530bc84fa60d68ce0c1d87c2f9e0f31398870dd"
+    );
+}

@@ -18,8 +18,8 @@
 //!   a hash-order iterator: float addition is not associative, so the
 //!   order of summation changes the result bits.
 //! * **D5** — `unwrap`/`expect`/`panic!`/indexing in the engine
-//!   dispatch and interceptor hot paths (panic-freedom of the sim
-//!   loop).
+//!   dispatch and interceptor hot paths and the node message handlers
+//!   (panic-freedom of the sim loop and of gossip input).
 //! * **D6** — `std::thread` / `std::sync` primitives (spawning, locks,
 //!   channels, atomics) in simulation-reachable crates outside the
 //!   sanctioned `dlt-sim::shard` executor. Thread scheduling is

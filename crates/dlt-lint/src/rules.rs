@@ -20,14 +20,29 @@ pub const SIM_CRATES: [&str; 4] = ["dlt-sim", "dlt-blockchain", "dlt-dag", "dlt-
 /// everywhere else in the sim crates).
 pub const THREAD_EXEMPT: &str = "crates/dlt-sim/src/shard.rs";
 
-/// Engine-dispatch and interceptor hot paths checked for panic-freedom
-/// (D5), as `(file suffix, function names)` pairs.
-pub const HOT_PATHS: [(&str, &[&str]); 2] = [
+/// Engine-dispatch, interceptor and node message-handler hot paths
+/// checked for panic-freedom (D5), as `(file suffix, function names)`
+/// pairs. The node handlers take gossip input, so a panic there is one
+/// a peer's message could trigger.
+pub const HOT_PATHS: [(&str, &[&str]); 4] = [
     (
         "crates/dlt-sim/src/engine.rs",
         &["step", "send_from", "schedule"],
     ),
     ("crates/dlt-sim/src/fault.rs", &["intercept"]),
+    (
+        "crates/dlt-blockchain/src/node.rs",
+        &["on_message", "accept_block", "on_timer"],
+    ),
+    (
+        "crates/dlt-dag/src/node.rs",
+        &[
+            "on_message",
+            "handle_publish",
+            "handle_vote",
+            "apply_confirmation",
+        ],
+    ),
 ];
 
 const ITER_METHODS: [&str; 10] = [

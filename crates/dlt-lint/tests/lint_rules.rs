@@ -1,7 +1,8 @@
 //! Integration tests over the fixture corpus: one positive and one
 //! negative case per rule, suppression handling, and the scoping
-//! rules (sim-crate paths, the bench exemption, the trailing
-//! `#[cfg(test)]` region).
+//! rules (sim-crate paths, the hot-path functions, the trailing
+//! `#[cfg(test)]` region). Two tests scan the live workspace: it has
+//! no open findings, and `unsafe` appears only where it is fenced.
 //!
 //! The fixtures live under `tests/fixtures/` and are plain text to the
 //! linter — they are never compiled, so they can use types and crates
@@ -105,6 +106,27 @@ fn d5_flags_panic_paths_in_hot_functions_only() {
 }
 
 #[test]
+fn d5_covers_node_message_handlers() {
+    let source = include_str!("fixtures/d5_node_handlers.rs");
+    for (path, hot) in [
+        (
+            "crates/dlt-blockchain/src/node.rs",
+            ["`on_message`", "`accept_block`"],
+        ),
+        (
+            "crates/dlt-dag/src/node.rs",
+            ["`on_message`", "`handle_vote`"],
+        ),
+    ] {
+        let findings = lint_file(path, source);
+        assert_eq!(rules(&findings), vec![Rule::D5; 2], "{path}: {findings:?}");
+        for (finding, name) in findings.iter().zip(hot) {
+            assert!(finding.message.contains(name), "{path}: {findings:?}");
+        }
+    }
+}
+
+#[test]
 fn d6_flags_thread_primitives_in_sim_crates() {
     let findings = lint_file(
         "crates/dlt-blockchain/src/fixture.rs",
@@ -201,18 +223,15 @@ fn tokens_in_strings_and_comments_are_masked() {
     assert!(findings.is_empty(), "{findings:?}");
 }
 
-#[test]
-fn the_live_workspace_is_clean() {
-    // The repo's own sim crates must stay free of open findings —
-    // the same invariant the CI `lint-determinism` job enforces via
-    // the binary. Running it in-process here gives the fast local
-    // signal.
+/// Every `crates/*/src/**/*.rs` file, as (workspace-relative path,
+/// source), sorted by path.
+fn workspace_sources() -> Vec<(String, String)> {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .parent()
         .and_then(|p| p.parent())
         .expect("workspace root")
         .to_path_buf();
-    let mut open_findings = Vec::new();
+    let mut sources = Vec::new();
     let mut stack = vec![root.join("crates")];
     while let Some(dir) = stack.pop() {
         let Ok(entries) = std::fs::read_dir(&dir) else {
@@ -221,11 +240,6 @@ fn the_live_workspace_is_clean() {
         for entry in entries.flatten() {
             let path = entry.path();
             if path.is_dir() {
-                // Skip dlt-lint itself: its sources and fixtures carry
-                // deliberate rule tokens and directive examples.
-                if path.file_name().is_some_and(|n| n == "dlt-lint") {
-                    continue;
-                }
                 stack.push(path);
             } else if path.extension().is_some_and(|e| e == "rs")
                 && path.components().any(|c| c.as_os_str() == "src")
@@ -236,16 +250,73 @@ fn the_live_workspace_is_clean() {
                     .to_string_lossy()
                     .replace('\\', "/");
                 let source = std::fs::read_to_string(&path).expect("readable source");
-                open_findings.extend(
-                    lint_file(&rel, &source)
-                        .into_iter()
-                        .filter(|f| f.suppressed.is_none()),
-                );
+                sources.push((rel, source));
             }
+        }
+    }
+    sources.sort();
+    sources
+}
+
+#[test]
+fn the_live_workspace_is_clean() {
+    // The repo's own sim crates must stay free of open findings —
+    // the same invariant the CI `lint-determinism` job enforces via
+    // the binary. Running it in-process here gives the fast local
+    // signal. dlt-lint itself is skipped: its sources carry deliberate
+    // rule tokens and directive examples.
+    let mut open_findings = Vec::new();
+    for (rel, source) in workspace_sources() {
+        if !rel.starts_with("crates/dlt-lint/") {
+            open_findings.extend(
+                lint_file(&rel, &source)
+                    .into_iter()
+                    .filter(|f| f.suppressed.is_none()),
+            );
         }
     }
     assert!(
         open_findings.is_empty(),
         "determinism findings in the workspace: {open_findings:#?}"
     );
+}
+
+/// The one file allowed to contain `unsafe`: the SHA-256 kernel
+/// dispatch, which calls the SHA-NI kernel after CPU feature detection.
+const UNSAFE_HOME: &str = "crates/dlt-crypto/src/sha256.rs";
+
+#[test]
+fn unsafe_is_fenced_to_the_sha256_kernel_dispatch() {
+    let sources = workspace_sources();
+    // Comments and strings are masked, so only code tokens count.
+    let sites: Vec<(&str, usize)> = sources
+        .iter()
+        .flat_map(|(rel, source)| {
+            let code = dlt_lint::mask::mask(source).code;
+            code.lines()
+                .enumerate()
+                .filter(|(_, line)| {
+                    line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+                        .any(|word| word == "unsafe")
+                })
+                .map(|(i, _)| (rel.as_str(), i + 1))
+                .collect::<Vec<_>>()
+        })
+        .collect();
+    assert_eq!(sites.len(), 1, "`unsafe` sites: {sites:?}");
+    assert_eq!(sites[0].0, UNSAFE_HOME, "`unsafe` sites: {sites:?}");
+
+    // Every other crate root keeps the compiler's own ban; dlt-crypto
+    // denies unsafe code and allows it on that one block.
+    for (rel, source) in sources
+        .iter()
+        .filter(|(rel, _)| rel.ends_with("/src/lib.rs"))
+    {
+        let code = dlt_lint::mask::mask(source).code;
+        if rel == "crates/dlt-crypto/src/lib.rs" {
+            assert!(code.contains("#![deny(unsafe_code)]"), "{rel}");
+        } else {
+            assert!(code.contains("#![forbid(unsafe_code)]"), "{rel}");
+        }
+    }
 }
