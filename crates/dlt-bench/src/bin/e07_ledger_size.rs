@@ -65,11 +65,11 @@ fn main() {
     let trace = trace::from_env("e07");
     let mut tracer = trace.tracer();
     trace.mark("workload.run", 0);
-    let bitcoin_report = run_workload_traced(&mut bitcoin, &config, tracer.as_mut());
+    let bitcoin_report = run_workload_traced(&mut bitcoin, &config, tracer.as_deref_mut());
     trace.mark("workload.run", 1);
-    let ethereum_report = run_workload_traced(&mut ethereum, &config, tracer.as_mut());
+    let ethereum_report = run_workload_traced(&mut ethereum, &config, tracer.as_deref_mut());
     trace.mark("workload.run", 2);
-    let nano_report = run_workload_traced(&mut nano, &config, tracer.as_mut());
+    let nano_report = run_workload_traced(&mut nano, &config, tracer.as_deref_mut());
     let reports = vec![bitcoin_report, ethereum_report, nano_report];
 
     println!(
@@ -135,7 +135,7 @@ fn main() {
         1,
     );
     trace.mark("workload.run", 3);
-    let short = run_workload_traced(&mut nano2, &short_cfg, tracer.as_mut());
+    let short = run_workload_traced(&mut nano2, &short_cfg, tracer.as_deref_mut());
     let long = &reports[2];
     let model = GrowthModel::fit(
         (short.confirmed as f64, short.ledger_bytes as f64),

@@ -70,10 +70,7 @@ fn main() {
     }
     table.print();
 
-    #[cfg(feature = "det-sanitizer")]
-    println!("det-sanitizer[e13] combined_hash=0x{combined:016x}");
-    #[cfg(not(feature = "det-sanitizer"))]
-    let _ = combined;
+    println!("combined_hash[e13]=0x{combined:016x}");
 
     println!(
         "\nreading: K=1 is §VI's unsharded baseline (\"every node … process[es] \

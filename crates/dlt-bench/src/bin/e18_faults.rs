@@ -12,8 +12,9 @@
 //!
 //! Every fault schedule is seed-driven and reproducible; the whole
 //! report is byte-deterministic. The scenario machinery lives in
-//! `dlt_bench::faults` so the det-sanitizer regression tests replay
-//! the exact same runs and assert their dispatch hashes.
+//! `dlt_bench::faults` so the dispatch-hash regression tests
+//! (`tests/det_sanitizer.rs`) replay the exact same runs and assert
+//! their hashes.
 
 use dlt_bench::faults::{run_blockchain_scenario, run_dag_scenario, scenarios, DAG_REPS, MINERS};
 use dlt_bench::{banner, print_dispatch_hash, section, smoke, trace, Table};

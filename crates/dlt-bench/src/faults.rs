@@ -1,5 +1,5 @@
 //! The e18 fault-scenario machinery, shared between the `e18_faults`
-//! experiment binary and the det-sanitizer regression tests.
+//! experiment binary and the dispatch-hash regression tests.
 //!
 //! Both callers must drive byte-for-byte identical simulations — the
 //! binary for the printed report, the tests for the dispatch-hash

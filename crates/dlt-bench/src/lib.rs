@@ -18,30 +18,15 @@ use std::cell::RefCell;
 
 use dlt_testkit::json::Json;
 
-/// Prints one simulation's det-sanitizer dispatch hash to stdout.
-///
-/// Only emits when the workspace is built with
-/// `--features det-sanitizer`; the default build prints nothing, so
-/// the byte-compared experiment output is unchanged. Run the same
-/// experiment twice with the feature on and diff the hash lines to
-/// check run-to-run determinism of the full dispatch schedule.
-#[cfg(feature = "det-sanitizer")]
+/// Prints one simulation's dispatch hash to stdout as
+/// `dispatch_hash[<label>]=0x…`, the run's behaviour fingerprint. Run
+/// the same experiment twice and diff the hash lines to check
+/// run-to-run determinism of the full dispatch schedule.
 pub fn print_dispatch_hash<M, N: dlt_sim::engine::SimNode<M>>(
     label: &str,
     sim: &dlt_sim::engine::Simulation<M, N>,
 ) {
-    println!(
-        "det-sanitizer[{label}] dispatch_hash=0x{:016x}",
-        sim.dispatch_hash()
-    );
-}
-
-/// No-op twin of the det-sanitizer hash printer (feature disabled).
-#[cfg(not(feature = "det-sanitizer"))]
-pub fn print_dispatch_hash<M, N: dlt_sim::engine::SimNode<M>>(
-    _label: &str,
-    _sim: &dlt_sim::engine::Simulation<M, N>,
-) {
+    println!("dispatch_hash[{label}]=0x{:016x}", sim.dispatch_hash());
 }
 
 thread_local! {

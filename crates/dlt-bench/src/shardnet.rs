@@ -37,13 +37,13 @@ pub enum ShardMsg {
     Applied,
 }
 
-/// Per-message fingerprint for the det-sanitizer dispatch hash.
+/// Per-message fingerprint folded into the engine's dispatch hash.
 pub fn digest_msg(msg: &ShardMsg) -> u64 {
+    // The engine mixes the digest, so plain distinct values suffice.
+    // `map_or` compiles to a conditional move: the random local/cross
+    // choice costs no branch on the payload at dispatch time.
     match msg {
-        ShardMsg::Submit { cross_to: None } => 1,
-        ShardMsg::Submit {
-            cross_to: Some(dst),
-        } => mix(2, u64::from(*dst)),
+        ShardMsg::Submit { cross_to } => cross_to.map_or(1, |dst| u64::from(dst) << 8 | 2),
         ShardMsg::Credit => 3,
         ShardMsg::Applied => 4,
     }
@@ -286,7 +286,6 @@ impl ShardLedgerWorker {
             mix(params.seed, shard as u64),
             dlt_sim::network::Network::new(LatencyModel::lan()),
         );
-        #[cfg(feature = "det-sanitizer")]
         sim.set_msg_digester(digest_msg);
         let service = SimTime::from_secs_f64(1.0 / params.capacity);
         sim.add_node(Node::Validator(Validator::new(service)));
@@ -364,7 +363,7 @@ impl ShardWorker for ShardLedgerWorker {
     }
 
     fn finish(self) -> ShardReport {
-        let dispatch_hash = self.sim.dispatch_hash_or_zero();
+        let dispatch_hash = self.sim.dispatch_hash();
         ShardReport {
             metrics: self.sim.into_metrics(),
             dispatch_hash,
@@ -384,10 +383,10 @@ pub struct CellOutcome {
     pub cross_messages: u64,
     /// Final-epoch debits with no barrier left to deliver them.
     pub undelivered: u64,
-    /// Fold of all per-shard dispatch hashes (0 without det-sanitizer).
+    /// Fold of all per-shard dispatch hashes.
     pub combined_hash: u64,
     /// The per-shard dispatch hashes the fold ran over, in shard-index
-    /// order (all zero without det-sanitizer).
+    /// order.
     pub shard_hashes: Vec<u64>,
     /// All shard metrics merged in shard-index order.
     pub metrics: Metrics,

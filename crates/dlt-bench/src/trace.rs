@@ -13,7 +13,7 @@ use std::path::PathBuf;
 
 use dlt_sim::engine::{SimNode, Simulation};
 use dlt_sim::time::SimTime;
-use dlt_sim::trace::{NoopTracer, RecordingTracer, TraceEvent, TraceLog, Tracer};
+use dlt_sim::trace::{RecordingTracer, TraceEvent, TraceLog, Tracer};
 
 /// One experiment's trace session; see the module docs.
 pub struct ExperimentTrace {
@@ -49,12 +49,10 @@ impl ExperimentTrace {
 
     /// A tracer for engine-less runners (e.g.
     /// `dlt_core::ledger::run_workload_traced`): recording into this
-    /// session's log when on, a no-op tracer when off.
-    pub fn tracer(&self) -> Box<dyn Tracer> {
-        match &self.log {
-            Some(log) => Box::new(RecordingTracer::sharing(log.clone())),
-            None => Box::new(NoopTracer),
-        }
+    /// session's log when on, `None` when off.
+    pub fn tracer(&self) -> Option<Box<dyn Tracer>> {
+        let log = self.log.as_ref()?;
+        Some(Box::new(RecordingTracer::sharing(log.clone())))
     }
 
     /// Emits a harness-level mark (timestamped at simulated zero —
@@ -111,7 +109,7 @@ mod tests {
         };
         assert!(!trace.enabled());
         trace.mark("anything", 1); // no-op, must not panic
-        assert!(!trace.tracer().enabled());
+        assert!(trace.tracer().is_none());
     }
 
     #[test]
@@ -121,8 +119,7 @@ mod tests {
             log: Some(TraceLog::new()),
         };
         trace.mark("sweep.start", 3);
-        let mut tracer = trace.tracer();
-        assert!(tracer.enabled());
+        let mut tracer = trace.tracer().expect("tracing is on");
         tracer.trace(TraceEvent::Mark {
             at: SimTime::ZERO,
             label: "x",

@@ -1,5 +1,5 @@
 //! Dispatch-hash determinism regression tests over e18's six fault
-//! scenarios (active only with `--features det-sanitizer`).
+//! scenarios and the e13 shard cells.
 //!
 //! PR 3 asserts e18 smoke byte-determinism at the JSON level; these
 //! tests assert it one layer deeper — the engine's per-event dispatch
@@ -8,8 +8,6 @@
 //! the same seed via `dlt_bench::faults` (the exact code the e18
 //! binary drives) and both runs must fold the identical
 //! `(time, seq, node, msg)` dispatch sequence.
-
-#![cfg(feature = "det-sanitizer")]
 
 use dlt_bench::faults::{run_blockchain_scenario, run_dag_scenario, scenarios};
 use dlt_bench::shardnet::{cell_params, run_cell};
@@ -60,14 +58,14 @@ fn dispatch_hash_distinguishes_scenarios() {
 #[test]
 fn shard_combined_hash_is_deterministic_and_thread_invariant() {
     // The e13 shard executor folds live (non-zero) per-shard dispatch
-    // hashes under this feature; the fold must be reproducible across
-    // runs and invariant to the worker-thread count.
+    // hashes; the fold must be reproducible across runs and invariant
+    // to the worker-thread count.
     let params = cell_params(4, 0.3, 2, true);
     assert_deterministic(params.seed, |_| run_cell(&params, 1).combined_hash);
     let serial = run_cell(&params, 1);
     assert!(
         serial.shard_hashes.iter().all(|&h| h != 0),
-        "det-sanitizer builds must report live per-shard hashes: {:?}",
+        "every build must report live per-shard hashes: {:?}",
         serial.shard_hashes
     );
     for threads in [2, 4] {

@@ -30,7 +30,7 @@ use dlt_dag::account::NanoAccount;
 use dlt_dag::lattice::{Lattice, LatticeParams};
 use dlt_sim::rng::SimRng;
 use dlt_sim::time::SimTime;
-use dlt_sim::trace::{NoopTracer, TraceEvent, Tracer};
+use dlt_sim::trace::{TraceEvent, Tracer};
 
 /// Where a submitted transfer stands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -563,24 +563,23 @@ pub struct WorkloadReport {
 /// Drives `ledger` with a Poisson workload of transfers between
 /// uniformly random actor pairs and reports the §V/§VI metrics.
 pub fn run_workload(ledger: &mut dyn DistributedLedger, config: &WorkloadConfig) -> WorkloadReport {
-    run_workload_traced(ledger, config, &mut NoopTracer)
+    run_workload_traced(ledger, config, None)
 }
 
 /// [`run_workload`] with a [`Tracer`] observing the run: each rejected
 /// submission and each sampling milestone emits a [`TraceEvent::Mark`].
 /// The workload runs outside the discrete-event engine, so marks are
-/// the only event kind it produces; pass [`NoopTracer`] (or call
+/// the only event kind it produces; pass `None` (or call
 /// [`run_workload`]) to trace nothing at zero cost.
 pub fn run_workload_traced(
     ledger: &mut dyn DistributedLedger,
     config: &WorkloadConfig,
-    tracer: &mut dyn Tracer,
+    mut tracer: Option<&mut (dyn Tracer + '_)>,
 ) -> WorkloadReport {
     let mut rng = SimRng::new(config.seed);
     let actors = ledger.actor_count();
     assert!(actors >= 2, "workload needs at least two actors");
     let initial_bytes = ledger.stats().ledger_bytes;
-    let tracing = tracer.enabled();
 
     let step = SimTime::from_millis(100);
     let mut now = SimTime::ZERO;
@@ -594,12 +593,14 @@ pub fn run_workload_traced(
                 to += 1;
             }
             offered += 1;
-            if ledger.submit_transfer(from, to, config.amount).is_none() && tracing {
-                tracer.trace(TraceEvent::Mark {
-                    at: now,
-                    label: "workload.rejected",
-                    value: offered,
-                });
+            if ledger.submit_transfer(from, to, config.amount).is_none() {
+                if let Some(tracer) = tracer.as_deref_mut() {
+                    tracer.trace(TraceEvent::Mark {
+                        at: now,
+                        label: "workload.rejected",
+                        value: offered,
+                    });
+                }
             }
         }
         ledger.advance(step);
@@ -609,7 +610,7 @@ pub fn run_workload_traced(
     // drain below exists to settle backlogs and in-flight receives for
     // the size/backlog statistics, and must not inflate the rate.
     let at_load_end = ledger.stats();
-    if tracing {
+    if let Some(tracer) = tracer.as_deref_mut() {
         tracer.trace(TraceEvent::Mark {
             at: now,
             label: "workload.offered",
@@ -626,7 +627,7 @@ pub fn run_workload_traced(
         ledger.advance(step);
         drained += step;
     }
-    if tracing {
+    if let Some(tracer) = tracer {
         tracer.trace(TraceEvent::Mark {
             at: now.saturating_add(drained),
             label: "workload.confirmed_after_drain",
@@ -742,7 +743,7 @@ mod tests {
         let mut tracer = RecordingTracer::new();
         let log = tracer.log();
         let mut traced_ledger = fast_bitcoin(4);
-        let traced = run_workload_traced(&mut traced_ledger, &config(0.5, 60), &mut tracer);
+        let traced = run_workload_traced(&mut traced_ledger, &config(0.5, 60), Some(&mut tracer));
         // Tracing is pure observation: the report is identical.
         assert_eq!(traced.offered, untraced.offered);
         assert_eq!(traced.confirmed, untraced.confirmed);

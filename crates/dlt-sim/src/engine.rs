@@ -15,10 +15,14 @@
 //! allocation; the engine's own counters go through pre-interned
 //! [`crate::metrics::CounterId`] handles. Every send, schedule,
 //! dispatch, and network-drop point also calls the installed
-//! [`Tracer`] (a no-op unless one is installed via
-//! [`Simulation::set_tracer`]), and every send consults the installed
-//! fault [`Interceptor`] (none by default — see
-//! [`Simulation::set_interceptor`]).
+//! [`Tracer`] (none by default — see [`Simulation::set_tracer`]), and
+//! every send consults the installed fault [`Interceptor`] (none by
+//! default — see [`Simulation::set_interceptor`]).
+//!
+//! Every dispatched event is folded into a running fingerprint,
+//! [`Simulation::dispatch_hash`]: two runs of the same seeded workload
+//! must end with the same value, so every run carries a behaviour
+//! check without recording a trace.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -29,24 +33,14 @@ use crate::latency::LatencyModel;
 use crate::metrics::{CounterId, Metrics};
 use crate::network::{Network, NodeId};
 use crate::rng::SimRng;
+use crate::shard::mix;
 use crate::time::SimTime;
-use crate::trace::{EventKind, NoopTracer, TraceEvent, Tracer};
+use crate::trace::{EventKind, TraceEvent, Tracer};
 
 /// A shared, immutable message payload. One broadcast allocates the
 /// message once; every scheduled delivery and every relay hop shares
 /// that allocation.
 pub type Payload<M> = Rc<M>;
-
-/// Folds one value into the running det-sanitizer hash (SplitMix64
-/// finalizer — cheap and well mixed; this is a fingerprint, not a
-/// cryptographic digest).
-#[cfg(feature = "det-sanitizer")]
-fn det_fold(h: u64, v: u64) -> u64 {
-    let mut z = (h ^ v).wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// Behaviour of one simulated node.
 ///
@@ -140,19 +134,15 @@ struct Core<M> {
     metrics: Metrics,
     node_count: usize,
     net_messages: CounterId,
-    tracer: Box<dyn Tracer>,
-    // Cached tracer.enabled() so emit points cost one branch when off.
-    tracing: bool,
-    // Fault-injection / replay hook; `None` keeps the send path on the
-    // plain network-model branch.
+    // Observation and fault-injection / replay hooks; `None` keeps
+    // the emit points and the send path on their plain branches.
+    tracer: Option<Box<dyn Tracer>>,
     interceptor: Option<Box<dyn Interceptor>>,
-    // Runtime determinism sanitizer: every dispatched event is folded
-    // into this hash, so two runs of the same seeded workload can be
-    // compared event-for-event without recording a full trace.
-    #[cfg(feature = "det-sanitizer")]
-    det_hash: u64,
+    // Every dispatched event is folded into this hash, so two runs of
+    // the same seeded workload can be compared event-for-event without
+    // recording a full trace.
+    dispatch_hash: u64,
     // Optional message fingerprint, folded per delivery when set.
-    #[cfg(feature = "det-sanitizer")]
     msg_digester: Option<fn(&M) -> u64>,
 }
 
@@ -160,8 +150,8 @@ impl<M> Core<M> {
     fn schedule(&mut self, at: SimTime, event: Event<M>) {
         let seq = self.seq;
         self.seq += 1;
-        if self.tracing {
-            self.tracer.trace(TraceEvent::Schedule {
+        if let Some(tracer) = self.tracer.as_deref_mut() {
+            tracer.trace(TraceEvent::Schedule {
                 at,
                 seq,
                 kind: event.kind(),
@@ -175,8 +165,8 @@ impl<M> Core<M> {
         if let Some(interceptor) = self.interceptor.as_deref_mut() {
             interceptor.intercept(self.now, from, to, &mut deliveries);
         }
-        if self.tracing {
-            self.tracer.trace(TraceEvent::Sent {
+        if let Some(tracer) = self.tracer.as_deref_mut() {
+            tracer.trace(TraceEvent::Sent {
                 at: self.now,
                 from,
                 to,
@@ -184,8 +174,8 @@ impl<M> Core<M> {
             });
         }
         if deliveries.is_empty() {
-            if self.tracing {
-                self.tracer.trace(TraceEvent::Dropped {
+            if let Some(tracer) = self.tracer.as_deref_mut() {
+                tracer.trace(TraceEvent::Dropped {
                     at: self.now,
                     from,
                     to,
@@ -207,8 +197,8 @@ impl<M> Core<M> {
     }
 
     fn mark(&mut self, label: &'static str, value: u64) {
-        if self.tracing {
-            self.tracer.trace(TraceEvent::Mark {
+        if let Some(tracer) = self.tracer.as_deref_mut() {
+            tracer.trace(TraceEvent::Mark {
                 at: self.now,
                 label,
                 value,
@@ -319,12 +309,9 @@ impl<M, N: SimNode<M>> Simulation<M, N> {
                 metrics,
                 node_count: 0,
                 net_messages,
-                tracer: Box::new(NoopTracer),
-                tracing: false,
+                tracer: None,
                 interceptor: None,
-                #[cfg(feature = "det-sanitizer")]
-                det_hash: 0,
-                #[cfg(feature = "det-sanitizer")]
+                dispatch_hash: 0,
                 msg_digester: None,
             },
         }
@@ -334,8 +321,7 @@ impl<M, N: SimNode<M>> Simulation<M, N> {
     /// and drop from now on. Install before adding nodes to capture
     /// `on_start` activity too.
     pub fn set_tracer(&mut self, tracer: impl Tracer + 'static) {
-        self.core.tracing = tracer.enabled();
-        self.core.tracer = Box::new(tracer);
+        self.core.tracer = Some(Box::new(tracer));
     }
 
     /// Installs a fault-injection (or replay) interceptor that will
@@ -423,20 +409,6 @@ impl<M, N: SimNode<M>> Simulation<M, N> {
         self.core.metrics
     }
 
-    /// The dispatch hash when the `det-sanitizer` feature is on, `0`
-    /// otherwise — lets feature-agnostic callers (the shard executor's
-    /// [`crate::shard::ShardReport`]) fold it unconditionally.
-    pub fn dispatch_hash_or_zero(&self) -> u64 {
-        #[cfg(feature = "det-sanitizer")]
-        {
-            self.core.det_hash
-        }
-        #[cfg(not(feature = "det-sanitizer"))]
-        {
-            0
-        }
-    }
-
     /// The simulation RNG (e.g. for workload generation).
     pub fn rng_mut(&mut self) -> &mut SimRng {
         &mut self.core.rng
@@ -498,30 +470,29 @@ impl<M, N: SimNode<M>> Simulation<M, N> {
         };
         debug_assert!(scheduled.at >= self.core.now, "time went backwards");
         self.core.now = scheduled.at;
-        if self.core.tracing {
-            self.core.tracer.trace(TraceEvent::Dispatch {
+        if let Some(tracer) = self.core.tracer.as_deref_mut() {
+            tracer.trace(TraceEvent::Dispatch {
                 at: scheduled.at,
                 seq: scheduled.seq,
                 kind: scheduled.event.kind(),
             });
         }
-        #[cfg(feature = "det-sanitizer")]
-        {
-            let mut h = self.core.det_hash;
-            h = det_fold(h, scheduled.at.as_micros());
-            h = det_fold(h, scheduled.seq);
-            h = det_fold(
-                h,
-                match &scheduled.event {
-                    Event::Deliver { from, to, msg } => {
-                        let digest = self.core.msg_digester.map_or(0, |f| f(msg));
-                        det_fold(det_fold(det_fold(1, from.0 as u64), to.0 as u64), digest)
-                    }
-                    Event::Timer { node, id } => det_fold(det_fold(2, node.0 as u64), *id),
-                },
-            );
-            self.core.det_hash = h;
-        }
+        // The event's own word (kind, endpoints or timer id, message
+        // digest) does not depend on the running hash, so only the last
+        // `mix` sits on the chain from one dispatch to the next. Node
+        // ids sit far below 2^31, so bit 63 tells a timer's node from a
+        // delivery's packed endpoints.
+        let word = match &scheduled.event {
+            Event::Deliver { from, to, msg } => {
+                let digest = self.core.msg_digester.map_or(0, |f| f(msg));
+                mix(mix(0, from.0 as u64 | (to.0 as u64) << 32), digest)
+            }
+            Event::Timer { node, id } => mix(mix(1 << 63, node.0 as u64), *id),
+        };
+        self.core.dispatch_hash = mix(
+            self.core.dispatch_hash ^ word,
+            scheduled.at.as_micros() ^ scheduled.seq.rotate_left(32),
+        );
         match scheduled.event {
             Event::Deliver { from, to, msg } => {
                 let mut ctx = Context {
@@ -572,21 +543,19 @@ impl<M, N: SimNode<M>> Simulation<M, N> {
         self.core.queue.len()
     }
 
-    /// The running determinism-sanitizer hash: every dispatched event's
-    /// `(time, seq, kind, node ids, msg digest)` folded in dispatch
-    /// order. Two runs of the same seeded workload must produce the
-    /// same value; a mismatch means nondeterminism slipped past the
-    /// static lint (`dlt-lint`). Use `trace_diff` on two recorded
-    /// traces to localize the first diverging event.
-    #[cfg(feature = "det-sanitizer")]
+    /// The running dispatch hash: every dispatched event's `(time,
+    /// seq, kind, node ids, msg digest)` folded in dispatch order. Two
+    /// runs of the same seeded workload must produce the same value; a
+    /// mismatch means nondeterminism slipped past the static lint
+    /// (`dlt-lint`). Use `trace_diff` on two recorded traces to
+    /// localize the first diverging event.
     pub fn dispatch_hash(&self) -> u64 {
-        self.core.det_hash
+        self.core.dispatch_hash
     }
 
     /// Installs a per-message fingerprint function folded into the
-    /// sanitizer hash on every delivery (off by default: the hash then
+    /// dispatch hash on every delivery (none by default: the hash then
     /// covers timing, ordering, and routing but not payload bytes).
-    #[cfg(feature = "det-sanitizer")]
     pub fn set_msg_digester(&mut self, digester: fn(&M) -> u64) {
         self.core.msg_digester = Some(digester);
     }
@@ -835,6 +804,47 @@ mod tests {
         sim.set_timer_for(a, SimTime::from_millis(100), 1);
         sim.run_until(SimTime::from_millis(200));
         sim.deliver_at(SimTime::from_millis(50), a, a, Msg::Ping(0));
+    }
+
+    #[test]
+    fn tracer_is_none_until_installed() {
+        let mut sim: Simulation<Msg, Recorder> = Simulation::new(14, fixed(1));
+        assert!(sim.core.tracer.is_none());
+        sim.set_tracer(RecordingTracer::new());
+        assert!(sim.core.tracer.is_some());
+    }
+
+    #[test]
+    fn dispatch_hash_fingerprints_the_run() {
+        fn run(seed: u64, pings: u32) -> u64 {
+            let mut sim = Simulation::new(
+                seed,
+                LatencyModel::Uniform {
+                    min: SimTime::from_millis(1),
+                    max: SimTime::from_millis(50),
+                },
+            );
+            let a = sim.add_node(Recorder::default());
+            let b = sim.add_node(Recorder {
+                reply: true,
+                ..Default::default()
+            });
+            for i in 0..pings {
+                sim.send_external(a, b, Msg::Ping(i));
+            }
+            sim.set_timer_for(a, SimTime::from_millis(25), 9);
+            sim.run_until_idle(SimTime::from_secs(10));
+            sim.dispatch_hash()
+        }
+        let base = run(42, 20);
+        assert_ne!(base, 0, "every run carries a live fingerprint");
+        assert_eq!(base, run(42, 20), "same seed, same schedule");
+        assert_ne!(base, run(43, 20), "another seed samples other latencies");
+        assert_ne!(
+            base,
+            run(42, 19),
+            "another schedule dispatches other events"
+        );
     }
 
     #[test]

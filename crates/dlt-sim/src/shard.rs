@@ -28,8 +28,8 @@
 //! only the cross-shard payload type `W::Cross` ever crosses a thread
 //! boundary. Final per-shard [`crate::metrics::Metrics`] are merged in
 //! shard-index order and per-shard dispatch hashes are folded (also in
-//! shard-index order) into one combined hash, so the `det-sanitizer`
-//! feature covers the parallel path end to end.
+//! shard-index order) into one combined hash, so the engine's dispatch
+//! hash covers the parallel path end to end.
 
 use std::sync::mpsc;
 use std::thread;
@@ -62,8 +62,7 @@ pub struct ShardReport {
     /// The shard simulation's metrics, merged into the combined view
     /// in shard-index order.
     pub metrics: Metrics,
-    /// The shard's dispatch hash (0 when the `det-sanitizer` feature
-    /// is off).
+    /// The shard's dispatch hash.
     pub dispatch_hash: u64,
 }
 
@@ -99,8 +98,7 @@ pub trait ShardWorker {
 pub struct ExecutorOutcome {
     /// All shard metrics merged (re-interned) in shard-index order.
     pub metrics: Metrics,
-    /// Per-shard dispatch hashes in shard-index order (zeros when the
-    /// `det-sanitizer` feature is off).
+    /// Per-shard dispatch hashes in shard-index order.
     pub shard_hashes: Vec<u64>,
     /// Shard count and per-shard hashes folded into one value, in
     /// shard-index order — thread-count independent.
@@ -112,9 +110,8 @@ pub struct ExecutorOutcome {
     pub undelivered: u64,
 }
 
-/// SplitMix64 fold — the same mixer the engine's det-sanitizer uses,
-/// exported unconditionally so seed derivation and the combined hash
-/// agree with the in-engine fingerprint style.
+/// SplitMix64 fold — the mixer of the engine's dispatch hash, also
+/// used for seed derivation and the combined hash.
 pub fn mix(h: u64, v: u64) -> u64 {
     let mut z = (h ^ v).wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -505,8 +502,7 @@ mod tests {
 
     #[test]
     fn mix_matches_splitmix_reference() {
-        // Fixed-point check so the fold cannot silently drift from the
-        // engine's det_fold.
+        // Fixed-point check so the mixer cannot silently drift.
         assert_eq!(mix(0, 0), 0xe220_a839_7b1d_cdaf);
         // A single fold is symmetric in (h, v); chained folds are not.
         assert_ne!(mix(mix(0, 1), 2), mix(mix(0, 2), 1));

@@ -2,9 +2,9 @@
 //!
 //! The engine calls a [`Tracer`] at every send, schedule, dispatch,
 //! and network-drop point; protocol code can add its own
-//! [`TraceEvent::Mark`] observations through `Context::trace_mark`. The default
-//! [`NoopTracer`] reports itself disabled, so the engine skips event
-//! construction entirely on the hot path. A [`RecordingTracer`]
+//! [`TraceEvent::Mark`] observations through `Context::trace_mark`. With
+//! no tracer installed the engine skips event construction entirely on
+//! the hot path. A [`RecordingTracer`]
 //! captures events into a shared buffer for tests and for the
 //! `DLT_TRACE` experiment-binary mode, and the buffer renders to
 //! deterministic JSON via `dlt_testkit::json`.
@@ -94,31 +94,11 @@ pub enum TraceEvent {
     },
 }
 
-/// Receives engine trace events. Implementations must be cheap: the
-/// engine consults [`Tracer::enabled`] once at installation and skips
-/// event construction when it reports `false`.
+/// Receives engine trace events. Implementations must be cheap: an
+/// installed tracer sees every event on the hot path.
 pub trait Tracer {
     /// Consumes one event.
     fn trace(&mut self, event: TraceEvent);
-
-    /// Whether this tracer wants events at all. Defaults to `true`;
-    /// the no-op tracer overrides it so the engine's emit points
-    /// reduce to a single branch on a cached flag.
-    fn enabled(&self) -> bool {
-        true
-    }
-}
-
-/// The default tracer: discards everything and reports disabled.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoopTracer;
-
-impl Tracer for NoopTracer {
-    fn trace(&mut self, _event: TraceEvent) {}
-
-    fn enabled(&self) -> bool {
-        false
-    }
 }
 
 /// A shared handle onto a [`RecordingTracer`]'s event buffer. Clones
@@ -282,12 +262,6 @@ mod tests {
         );
         log.clear();
         assert!(log.is_empty());
-    }
-
-    #[test]
-    fn noop_tracer_reports_disabled() {
-        assert!(!NoopTracer.enabled());
-        assert!(RecordingTracer::new().enabled());
     }
 
     #[test]

@@ -3,9 +3,8 @@
 //! The static pass (`dlt-lint`) catches hash-order and wall-clock
 //! hazards at the source; this module catches whatever slips through
 //! at runtime, by running a seeded workload twice and comparing an
-//! observable fingerprint (typically `Simulation::dispatch_hash` under
-//! `--features det-sanitizer`, but any `PartialEq + Debug` outcome
-//! works).
+//! observable fingerprint (typically `Simulation::dispatch_hash`, but
+//! any `PartialEq + Debug` outcome works).
 
 /// Runs `f` twice with the same `seed` and asserts both runs produce
 /// the same outcome.

@@ -13,7 +13,7 @@
 //! * [`json`] — a minimal JSON document model (writer + strict parser)
 //!   used by the experiment binaries and `perfbench`.
 //! * [`det`] — run-twice determinism assertions for the engine's
-//!   dispatch-hash sanitizer.
+//!   dispatch hash.
 //!
 //! Performance is measured end to end by `perfbench/`, not here.
 //! Everything here is deterministic given a seed; no wall-clock or OS

@@ -3,9 +3,10 @@
 //! Runs every experiment with `DLT_SMOKE=1` (tiny parameters) through
 //! `cargo run --offline`, asserting each exits 0 and writes a valid,
 //! non-empty JSON report via `DLT_JSON_OUT`. A separate test runs
-//! e04, e09, e10 and e18 twice each with their fixed seeds and requires
-//! byte-identical stdout and JSON — the workspace-wide determinism
-//! guarantee CI leans on. A third test runs e09 with `DLT_TRACE=1`
+//! e04, e06, e09, e10, e11, e13 and e18 twice each with their fixed
+//! seeds and requires byte-identical stdout (dispatch-hash lines
+//! included) and JSON — the workspace-wide determinism guarantee CI
+//! leans on. A third test runs e09 with `DLT_TRACE=1`
 //! and asserts the emitted event log is parseable, non-empty JSON.
 
 use std::path::{Path, PathBuf};
@@ -125,10 +126,26 @@ fn sim_experiments_are_byte_deterministic_across_runs() {
     // e04 exercises the miner network, e09 the workload adapters,
     // e10 the consensus primitives, e18 the fault-injection
     // interceptor — together they cover the refactored engine,
-    // metrics, payload-sharing, and fault paths.
-    for bin in ["e04_forks", "e09_throughput", "e10_consensus", "e18_faults"] {
+    // metrics, payload-sharing, and fault paths. e04, e06, e11, e13
+    // and e18 print each simulation's dispatch hash, so their stdout
+    // also compares the two runs event for event.
+    for (bin, fingerprint) in [
+        ("e04_forks", Some("dispatch_hash[")),
+        ("e06_dag_confirm", Some("dispatch_hash[")),
+        ("e09_throughput", None),
+        ("e10_consensus", None),
+        ("e11_blocksize", Some("dispatch_hash[")),
+        ("e13_sharding", Some("combined_hash[e13]=0x")),
+        ("e18_faults", Some("dispatch_hash[")),
+    ] {
         let (stdout_first, report_first) = run_experiment(bin, "b");
         let (stdout_second, report_second) = run_experiment(bin, "c");
+        if let Some(prefix) = fingerprint {
+            assert!(
+                stdout_first.lines().any(|line| line.starts_with(prefix)),
+                "{bin} printed no {prefix}… line"
+            );
+        }
         assert_eq!(
             stdout_first, stdout_second,
             "{bin} stdout differs between seeded runs"

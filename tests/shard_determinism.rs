@@ -31,6 +31,11 @@ fn small_cell(shards: usize, f: f64) -> ShardNetParams {
 fn parallel_runs_match_serial_metrics_and_hash() {
     for (shards, f) in [(2, 0.1), (4, 0.3), (4, 1.0), (8, 0.5)] {
         let serial = run_cell(&small_cell(shards, f), 1);
+        assert!(
+            serial.shard_hashes.iter().all(|&h| h != 0),
+            "every shard reports a live dispatch hash at K={shards} f={f}: {:?}",
+            serial.shard_hashes
+        );
         for threads in [2, 4, 16] {
             let parallel = run_cell(&small_cell(shards, f), threads);
             assert_eq!(
@@ -214,11 +219,11 @@ dlt_testkit::prop! {
 #[test]
 fn combined_hash_folds_in_shard_index_order() {
     // The combined hash is defined as mix(mix(0, K), h_0, …, h_{K-1});
-    // recompute it from the reported per-shard hashes to pin the
-    // definition (holds with or without det-sanitizer — the per-shard
-    // hashes are simply all zero without it).
+    // recompute it from the reported per-shard hashes, which are live
+    // (non-zero) in every build, to pin the definition.
     let out = run_cell(&small_cell(3, 0.4), 2);
     assert_eq!(out.shard_hashes.len(), 3);
+    assert!(out.shard_hashes.iter().all(|&h| h != 0));
     let mut expect = mix(0, 3);
     for &h in &out.shard_hashes {
         expect = mix(expect, h);
