@@ -84,23 +84,44 @@ impl AccountTx {
 
     /// The message the sender signs: everything except the signature.
     pub fn sighash(&self) -> Digest {
-        let mut h = Sha256::new();
-        h.update(b"account-sighash");
-        let mut buf = Vec::new();
-        self.from.encode(&mut buf);
-        self.to.encode(&mut buf);
-        self.amount.encode(&mut buf);
-        self.nonce.encode(&mut buf);
-        self.gas_price.encode(&mut buf);
-        self.payload_bytes.encode(&mut buf);
-        h.update(&buf);
-        h.finalize()
+        sighash_over(
+            &self.from,
+            &self.to,
+            self.amount,
+            self.nonce,
+            self.gas_price,
+            self.payload_bytes,
+        )
     }
 
     /// The sender's account address.
     pub fn sender(&self) -> Address {
         self.from.address()
     }
+}
+
+/// Computes the signing message from the signed fields (used both by
+/// [`AccountTx::sighash`] and by [`AccountHolder`], which signs before
+/// the transaction exists).
+fn sighash_over(
+    from: &PublicKey,
+    to: &Address,
+    amount: u64,
+    nonce: u64,
+    gas_price: u64,
+    payload_bytes: u32,
+) -> Digest {
+    let mut h = Sha256::new();
+    h.update(b"account-sighash");
+    let mut buf = Vec::new();
+    from.encode(&mut buf);
+    to.encode(&mut buf);
+    amount.encode(&mut buf);
+    nonce.encode(&mut buf);
+    gas_price.encode(&mut buf);
+    payload_bytes.encode(&mut buf);
+    h.update(&buf);
+    h.finalize()
 }
 
 impl Encode for AccountTx {
@@ -422,11 +443,6 @@ impl StateDb {
     pub fn trie_mut(&mut self) -> &mut TrieDb {
         &mut self.trie
     }
-
-    /// Installs a synced trie (fast sync's state download).
-    pub fn replace_trie(&mut self, trie: TrieDb) {
-        self.trie = trie;
-    }
 }
 
 /// An account-holder: keypair plus nonce tracking, for tests, examples
@@ -468,7 +484,9 @@ impl AccountHolder {
     }
 
     /// Builds and signs a transfer carrying a simulated contract
-    /// payload of `payload_bytes`.
+    /// payload of `payload_bytes`, consuming the next nonce: hashes the
+    /// signed fields, signs that hash with the account's next one-time
+    /// leaf, then assembles the transaction.
     ///
     /// # Panics
     ///
@@ -480,28 +498,23 @@ impl AccountHolder {
         gas_price: u64,
         payload_bytes: u32,
     ) -> AccountTx {
-        let mut tx = AccountTx {
-            from: self.public_key(),
-            to,
-            amount,
-            nonce: self.next_nonce,
-            gas_price,
-            payload_bytes,
-            signature: Signature::Mss(
-                // replaced below; construct with a throwaway placeholder
-                // to keep AccountTx total
-                dlt_crypto::mss::MssKeypair::from_seed([0u8; 32], 1)
-                    .sign(&Digest::ZERO)
-                    .expect("fresh key"),
-            ),
-        };
-        let sighash = tx.sighash();
-        tx.signature = self
+        let from = self.public_key();
+        let nonce = self.next_nonce;
+        let sighash = sighash_over(&from, &to, amount, nonce, gas_price, payload_bytes);
+        let signature = self
             .keypair
             .sign(&sighash)
             .expect("account key exhausted: construct AccountHolder with more height");
         self.next_nonce += 1;
-        tx
+        AccountTx {
+            from,
+            to,
+            amount,
+            nonce,
+            gas_price,
+            payload_bytes,
+            signature,
+        }
     }
 
     /// The nonce the next transaction will carry.
@@ -760,6 +773,27 @@ mod tests {
     }
 
     #[test]
+    fn sighash_excludes_signature() {
+        let mut alice = holder(16);
+        let tx = alice.transfer(Address::from_label("b"), 10, 1);
+        let sighash = tx.sighash();
+        assert!(tx.signature.verify(&sighash, &tx.from));
+        // A different valid signature by the same key (the next leaf,
+        // over the same sighash) leaves the sighash unchanged.
+        let mut key = dlt_crypto::keys::Keypair::mss_from_seed([16; 32], 4);
+        key.sign(&sighash).unwrap();
+        let mut resigned = tx.clone();
+        resigned.signature = key.sign(&sighash).unwrap();
+        assert_ne!(resigned.signature, tx.signature);
+        assert!(resigned.signature.verify(&sighash, &resigned.from));
+        assert_eq!(resigned.sighash(), sighash);
+        // But signed fields change it.
+        let mut modified = tx;
+        modified.nonce += 1;
+        assert_ne!(modified.sighash(), sighash);
+    }
+
+    #[test]
     fn assume_valid_skips_signatures() {
         let mut db = StateDb::new_assume_valid();
         let mut alice = holder(14);
@@ -767,5 +801,18 @@ mod tests {
         let mut tx = alice.transfer(Address::from_label("b"), 10, 1);
         tx.amount = 999;
         assert!(db.apply_tx(root, &tx, &producer()).is_ok());
+    }
+
+    #[test]
+    fn transfer_is_pinned() {
+        // The full encoding, signature and payload padding included.
+        use dlt_crypto::codec::Encode;
+        let mut alice = holder(15);
+        alice.transfer(Address::from_label("b"), 1, 1);
+        let tx = alice.transfer_with_payload(Address::from_label("golden"), 77, 3, 5);
+        assert_eq!(
+            dlt_crypto::sha256::sha256(&tx.encode_to_vec()).to_hex(),
+            "4c4d07803001985ed8c7f573a7a502cb9c66a955cf210025fcd3c8da343d8074"
+        );
     }
 }

@@ -19,7 +19,7 @@ use crate::codec::{Decode, DecodeError, Encode};
 use crate::digest::Digest;
 use crate::merkle::{MerkleProof, MerkleTree};
 use crate::sha256::Sha256;
-use crate::wots::{WotsKeypair, WotsSignature};
+use crate::wots::{self, WotsKeypair, WotsSignature};
 
 /// Default tree height: 2⁶ = 64 signatures per account, enough for the
 /// simulated workloads while keeping keygen fast.
@@ -103,7 +103,9 @@ impl MssKeypair {
         1u32 << self.height
     }
 
-    /// Signs a message digest with the next unused leaf key.
+    /// Signs a message digest with the next unused leaf key. The cost is
+    /// one WOTS signature: the leaf's public key is already in the tree,
+    /// so it is not derived again.
     ///
     /// # Errors
     ///
@@ -114,14 +116,13 @@ impl MssKeypair {
         }
         let index = self.next_leaf;
         self.next_leaf += 1;
-        let wots = WotsKeypair::from_seed(leaf_seed(&self.seed, index));
         let auth_path = self
             .tree
             .prove(index as usize)
             .expect("index < capacity, so the leaf exists");
         Ok(MssSignature {
             leaf_index: index,
-            wots_sig: wots.sign(msg),
+            wots_sig: wots::sign_from_seed(&leaf_seed(&self.seed, index), msg),
             auth_path,
         })
     }

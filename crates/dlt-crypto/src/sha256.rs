@@ -22,6 +22,11 @@
 //! kernels compute the same function, so every digest is the same on
 //! every host.
 //!
+//! Messages of a fixed shape that fit one block (the WOTS chain step
+//! and secret start) skip the streaming buffer: the caller fills a
+//! pre-padded block and one crate-private call compresses it through
+//! the same `compress`.
+//!
 //! Blockchains conventionally use the *double* hash
 //! `SHA-256(SHA-256(x))` for block and transaction identifiers; the DAG
 //! side uses the single hash. Both are exposed here so each ledger can
@@ -131,12 +136,37 @@ impl Sha256 {
         let end = if self.buf_len < 56 { 64 } else { 128 };
         pad[end - 8..end].copy_from_slice(&total_bits.to_be_bytes());
         compress(&mut self.state, &pad[..end]);
-        let mut out = [0u8; 32];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
-        }
-        Digest::from_bytes(out)
+        digest_of(&self.state)
     }
+}
+
+/// The big-endian bytes of a final hash state.
+fn digest_of(state: &[u32; 8]) -> Digest {
+    let mut out = [0u8; 32];
+    for (i, word) in state.iter().enumerate() {
+        out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+    }
+    Digest::from_bytes(out)
+}
+
+/// The one padded block of a `len`-byte message (`len` ≤ 55), message
+/// bytes still zero: the caller writes them into `..len`, then hashes
+/// the block with [`sha256_padded_block`].
+pub(crate) fn padded_block(len: usize) -> [u8; 64] {
+    debug_assert!(len <= 55, "{len} bytes do not fit one padded block");
+    let mut block = [0u8; 64];
+    block[len] = 0x80;
+    block[56..].copy_from_slice(&(len as u64 * 8).to_be_bytes());
+    block
+}
+
+/// SHA-256 of a message that fits one block, given that block already
+/// padded (see [`padded_block`]): one compression from `H0` on the same
+/// kernels as [`Sha256`], with no buffering and no padding pass.
+pub(crate) fn sha256_padded_block(block: &[u8; 64]) -> Digest {
+    let mut state = H0;
+    compress(&mut state, block);
+    digest_of(&state)
 }
 
 /// Runs the compression function over each 64-byte block of `blocks`
@@ -366,11 +396,7 @@ mod tests {
         msg.extend_from_slice(&((data.len() as u64) * 8).to_be_bytes());
         let mut state = H0;
         compress_portable(&mut state, &msg);
-        let mut out = [0u8; 32];
-        for (i, word) in state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
-        }
-        Digest::from_bytes(out)
+        digest_of(&state)
     }
 
     #[test]
@@ -385,6 +411,21 @@ mod tests {
             let mut dispatched = H0;
             compress(&mut dispatched, &data);
             assert_eq!(dispatched, portable, "{blocks} blocks");
+        }
+    }
+
+    #[test]
+    fn padded_block_matches_portable_reference() {
+        // Every message length that fits one block, through the
+        // dispatched kernel, against padding built independently and
+        // run on the portable kernel.
+        let data: Vec<u8> = (0u8..56).map(|i| i.wrapping_mul(37) ^ 0x5a).collect();
+        for len in 0..=55 {
+            let mut block = padded_block(len);
+            block[..len].copy_from_slice(&data[..len]);
+            let expect = portable_reference(&data[..len]);
+            assert_eq!(sha256_padded_block(&block), expect, "len {len}");
+            assert_eq!(sha256(&data[..len]), expect, "streaming, len {len}");
         }
     }
 

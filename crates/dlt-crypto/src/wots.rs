@@ -15,7 +15,7 @@
 
 use crate::codec::{Decode, DecodeError, Encode};
 use crate::digest::Digest;
-use crate::sha256::Sha256;
+use crate::sha256::{padded_block, sha256_padded_block, Sha256};
 
 /// Winternitz parameter: digits are base-16 (4 bits).
 pub const W: u32 = 16;
@@ -30,28 +30,39 @@ const DOM_SECRET: &[u8] = b"wots-secret";
 const DOM_CHAIN: &[u8] = b"wots-chain";
 const DOM_COMMIT: &[u8] = b"wots-public";
 
-/// Derives the chain-`i` secret start value from a seed.
+/// Byte offsets in the chain-step message `DOM_CHAIN ‖ chain index ‖
+/// position ‖ value` (48 bytes, so one padded SHA-256 block).
+const STEP_INDEX: usize = DOM_CHAIN.len();
+const STEP_POSITION: usize = STEP_INDEX + 2;
+const STEP_VALUE: usize = STEP_POSITION + 4;
+const STEP_LEN: usize = STEP_VALUE + 32;
+
+/// Derives the chain-`i` secret start value from a seed: SHA-256 of
+/// `DOM_SECRET ‖ seed ‖ chain` (45 bytes, one padded block).
 fn secret_start(seed: &[u8; 32], chain: u16) -> Digest {
-    let mut h = Sha256::new();
-    h.update(DOM_SECRET);
-    h.update(seed);
-    h.update(&chain.to_be_bytes());
-    h.finalize()
+    const SEED: usize = DOM_SECRET.len();
+    const CHAIN: usize = SEED + 32;
+    let mut block = padded_block(CHAIN + 2);
+    block[..SEED].copy_from_slice(DOM_SECRET);
+    block[SEED..CHAIN].copy_from_slice(seed);
+    block[CHAIN..CHAIN + 2].copy_from_slice(&chain.to_be_bytes());
+    sha256_padded_block(&block)
 }
 
 /// Applies the chaining function from position `from` to position `to`.
 ///
 /// Each step is domain-separated by chain index and position, which
-/// prevents cross-chain value reuse.
+/// prevents cross-chain value reuse. The step message is one padded
+/// block; each step rewrites only its position and value bytes.
 fn chain(mut value: Digest, chain_index: u16, from: u32, to: u32) -> Digest {
     debug_assert!(from <= to && to < W);
+    let mut block = padded_block(STEP_LEN);
+    block[..STEP_INDEX].copy_from_slice(DOM_CHAIN);
+    block[STEP_INDEX..STEP_POSITION].copy_from_slice(&chain_index.to_be_bytes());
     for position in from..to {
-        let mut h = Sha256::new();
-        h.update(DOM_CHAIN);
-        h.update(&chain_index.to_be_bytes());
-        h.update(&position.to_be_bytes());
-        h.update(value.as_bytes());
-        value = h.finalize();
+        block[STEP_POSITION..STEP_VALUE].copy_from_slice(&position.to_be_bytes());
+        block[STEP_VALUE..STEP_LEN].copy_from_slice(value.as_bytes());
+        value = sha256_padded_block(&block);
     }
     value
 }
@@ -136,14 +147,20 @@ impl WotsKeypair {
     /// As with all one-time schemes, signing two different messages with
     /// the same key compromises it.
     pub fn sign(&self, msg: &Digest) -> WotsSignature {
-        let digits = digits_with_checksum(msg);
-        let mut parts = Vec::with_capacity(LEN);
-        for (i, &d) in digits.iter().enumerate() {
-            let start = secret_start(&self.seed, i as u16);
-            parts.push(chain(start, i as u16, 0, u32::from(d)));
-        }
-        WotsSignature { parts }
+        sign_from_seed(&self.seed, msg)
     }
+}
+
+/// Signs a message digest under the key derived from `seed`, without
+/// deriving its public key: the chains only run up to each digit.
+pub(crate) fn sign_from_seed(seed: &[u8; 32], msg: &Digest) -> WotsSignature {
+    let digits = digits_with_checksum(msg);
+    let parts = digits
+        .iter()
+        .enumerate()
+        .map(|(i, &d)| chain(secret_start(seed, i as u16), i as u16, 0, u32::from(d)))
+        .collect();
+    WotsSignature { parts }
 }
 
 /// A WOTS signature: one intermediate chain value per digit (~2.1 KiB).
@@ -205,6 +222,46 @@ mod tests {
     use super::*;
     use crate::codec::decode_exact;
     use crate::sha256::sha256;
+
+    /// The chain step and the secret start as the streaming hasher
+    /// computes them, field by field.
+    fn streaming_step(value: &Digest, chain_index: u16, position: u32) -> Digest {
+        let mut h = Sha256::new();
+        h.update(DOM_CHAIN);
+        h.update(&chain_index.to_be_bytes());
+        h.update(&position.to_be_bytes());
+        h.update(value.as_bytes());
+        h.finalize()
+    }
+
+    fn streaming_secret_start(seed: &[u8; 32], chain_index: u16) -> Digest {
+        let mut h = Sha256::new();
+        h.update(DOM_SECRET);
+        h.update(seed);
+        h.update(&chain_index.to_be_bytes());
+        h.finalize()
+    }
+
+    #[test]
+    fn one_block_hashes_match_streaming() {
+        let seed = [0x3cu8; 32];
+        for i in 0..LEN as u16 {
+            let start = secret_start(&seed, i);
+            assert_eq!(start, streaming_secret_start(&seed, i), "chain {i}");
+            let mut value = start;
+            for position in 0..W - 1 {
+                let step = streaming_step(&value, i, position);
+                assert_eq!(
+                    chain(value, i, position, position + 1),
+                    step,
+                    "chain {i}, position {position}"
+                );
+                value = step;
+            }
+            // A multi-step call reuses one block across steps.
+            assert_eq!(chain(start, i, 0, W - 1), value, "chain {i}, full");
+        }
+    }
 
     #[test]
     fn sign_verify_round_trip() {

@@ -5,6 +5,7 @@
 //! 180-4 on any input shape fails here instead of silently moving
 //! experiment output.
 
+use dlt_crypto::codec::Encode;
 use dlt_crypto::merkle::MerkleTree;
 use dlt_crypto::mss::MssKeypair;
 use dlt_crypto::sha256::{double_sha256, sha256};
@@ -48,5 +49,26 @@ fn double_sha256_of_transfer_sized_buffer_is_pinned() {
     assert_eq!(
         double_sha256(&buf).to_hex(),
         "964ada6d767c1cc10865d7269530bc84fa60d68ce0c1d87c2f9e0f31398870dd"
+    );
+}
+
+#[test]
+fn mss_signatures_are_pinned() {
+    // Leaf 0 and leaf 5 of one key: the WOTS chains under two leaf
+    // seeds and two authentication paths.
+    let mut kp = MssKeypair::from_seed([1; 32], 3);
+    let sigs: Vec<_> = (0..6u32)
+        .map(|i| {
+            kp.sign(&sha256(format!("golden block {i}").as_bytes()))
+                .expect("8 leaves")
+        })
+        .collect();
+    assert_eq!(
+        sha256(&sigs[0].encode_to_vec()).to_hex(),
+        "cfaedf5192f4f571920bd068f027e1d303a605bded38d29a3b45b2e067a73f8b"
+    );
+    assert_eq!(
+        sha256(&sigs[5].encode_to_vec()).to_hex(),
+        "5a87a6a8b27f997e14ef564aab9afa4bdf04f6f4701c2b5d409e39b0a28d7762"
     );
 }

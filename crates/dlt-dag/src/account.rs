@@ -9,7 +9,7 @@
 use dlt_crypto::keys::{Address, Keypair, PublicKey};
 use dlt_crypto::Digest;
 
-use crate::block::{BlockKind, LatticeBlock};
+use crate::block::{hash_over, BlockKind, LatticeBlock};
 
 /// Why a block could not be built.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,30 +106,40 @@ impl NanoAccount {
         self.representative = rep;
     }
 
+    /// Builds the next block of this chain: hashes the fields the block
+    /// hash covers, signs that hash with the account's next one-time
+    /// leaf, assembles the block, attaches its anti-spam work and
+    /// advances the local head and balance. Signing is the only key
+    /// operation.
     fn build(
         &mut self,
         kind: BlockKind,
         new_balance: u64,
     ) -> Result<LatticeBlock, AccountBuildError> {
+        let account_key = self.public_key();
+        let account = account_key.address();
+        let hash = hash_over(
+            &account,
+            &account_key,
+            &self.head,
+            &self.representative,
+            new_balance,
+            &kind,
+        );
+        let signature = self
+            .keypair
+            .sign(&hash)
+            .map_err(|_| AccountBuildError::KeyExhausted)?;
         let mut block = LatticeBlock {
-            account: self.address(),
-            account_key: self.public_key(),
+            account,
+            account_key,
             previous: self.head,
             representative: self.representative,
             balance: new_balance,
             kind,
             work: 0,
-            signature: dlt_crypto::keys::Signature::Mss(
-                dlt_crypto::mss::MssKeypair::from_seed([0u8; 32], 1)
-                    .sign(&Digest::ZERO)
-                    .expect("fresh throwaway key"),
-            ),
+            signature,
         };
-        let hash = block.hash();
-        block.signature = self
-            .keypair
-            .sign(&hash)
-            .map_err(|_| AccountBuildError::KeyExhausted)?;
         block.work = LatticeBlock::compute_work(&block.work_root(), self.difficulty_bits);
         self.head = hash;
         self.balance = new_balance;
@@ -277,5 +287,25 @@ mod tests {
         assert_eq!(change.representative, rep);
         let send = acct.send(Address::from_label("x"), 1).unwrap();
         assert_eq!(send.representative, rep);
+    }
+
+    #[test]
+    fn built_blocks_are_pinned() {
+        // The full encoding (fields, work and signature) of a genesis
+        // and a send, so any change to hashing, signing or assembly that
+        // moves a byte fails here.
+        use dlt_crypto::codec::Encode;
+        use dlt_crypto::sha256::sha256;
+        let mut acct = account(7);
+        let genesis = acct.genesis_block(1_000);
+        let send = acct.send(Address::from_label("golden"), 250).unwrap();
+        assert_eq!(
+            sha256(&genesis.encode_to_vec()).to_hex(),
+            "7353b68f40ceb2fa67eac69de9f847530fa8928ffcb904cf3358cdb8ac15289a"
+        );
+        assert_eq!(
+            sha256(&send.encode_to_vec()).to_hex(),
+            "da83ba73fed2358d137615797394149a04559161f90480462cce3fb6ac150fe8"
+        );
     }
 }

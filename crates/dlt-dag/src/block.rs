@@ -97,17 +97,14 @@ impl LatticeBlock {
     /// work nonce or the signature (as Nano's block hash does), so the
     /// signature can sign the hash and work can be attached afterwards.
     pub fn hash(&self) -> Digest {
-        let mut h = Sha256::new();
-        h.update(b"lattice-block");
-        let mut buf = Vec::new();
-        self.account.encode(&mut buf);
-        self.account_key.encode(&mut buf);
-        self.previous.encode(&mut buf);
-        self.representative.encode(&mut buf);
-        self.balance.encode(&mut buf);
-        self.kind.encode(&mut buf);
-        h.update(&buf);
-        h.finalize()
+        hash_over(
+            &self.account,
+            &self.account_key,
+            &self.previous,
+            &self.representative,
+            self.balance,
+            &self.kind,
+        )
     }
 
     /// Whether this is the first block of its account chain.
@@ -166,6 +163,30 @@ impl LatticeBlock {
     }
 }
 
+/// Computes the block hash from the fields it covers (used both by
+/// [`LatticeBlock::hash`] and by account holders, which sign the hash
+/// before the block exists).
+pub(crate) fn hash_over(
+    account: &Address,
+    account_key: &PublicKey,
+    previous: &Digest,
+    representative: &Address,
+    balance: u64,
+    kind: &BlockKind,
+) -> Digest {
+    let mut h = Sha256::new();
+    h.update(b"lattice-block");
+    let mut buf = Vec::new();
+    account.encode(&mut buf);
+    account_key.encode(&mut buf);
+    previous.encode(&mut buf);
+    representative.encode(&mut buf);
+    balance.encode(&mut buf);
+    kind.encode(&mut buf);
+    h.update(&buf);
+    h.finalize()
+}
+
 impl Encode for LatticeBlock {
     fn encode(&self, out: &mut Vec<u8>) {
         self.account.encode(out);
@@ -202,31 +223,48 @@ mod tests {
 
     fn sample_block(previous: Digest) -> LatticeBlock {
         let mut key = Keypair::mss_from_seed([1u8; 32], 2);
-        let mut block = LatticeBlock {
-            account: key.address(),
-            account_key: key.public_key(),
-            previous,
-            representative: Address::from_label("rep"),
-            balance: 100,
-            kind: BlockKind::Send {
-                destination: Address::from_label("dest"),
-            },
-            work: 0,
-            signature: key.sign(&Digest::ZERO).unwrap(), // replaced below
+        let (account, account_key) = (key.address(), key.public_key());
+        let representative = Address::from_label("rep");
+        let kind = BlockKind::Send {
+            destination: Address::from_label("dest"),
         };
-        let hash = block.hash();
-        let mut key2 = Keypair::mss_from_seed([1u8; 32], 2);
-        block.signature = key2.sign(&hash).unwrap();
-        block
+        let hash = hash_over(
+            &account,
+            &account_key,
+            &previous,
+            &representative,
+            100,
+            &kind,
+        );
+        LatticeBlock {
+            account,
+            account_key,
+            previous,
+            representative,
+            balance: 100,
+            kind,
+            work: 0,
+            signature: key.sign(&hash).unwrap(),
+        }
     }
 
     #[test]
     fn hash_excludes_work_and_signature() {
         let block = sample_block(sha256(b"prev"));
         let h1 = block.hash();
+        assert!(block.signature.verify(&h1, &block.account_key));
         let mut modified = block.clone();
         modified.work = 999;
         assert_eq!(modified.hash(), h1);
+        // A different valid signature by the same key (the next leaf,
+        // over the same hash) leaves the hash unchanged.
+        let mut key = Keypair::mss_from_seed([1u8; 32], 2);
+        key.sign(&h1).unwrap();
+        let mut resigned = block.clone();
+        resigned.signature = key.sign(&h1).unwrap();
+        assert_ne!(resigned.signature, block.signature);
+        assert!(resigned.signature.verify(&h1, &resigned.account_key));
+        assert_eq!(resigned.hash(), h1);
         // But consensus fields change it.
         let mut modified = block;
         modified.balance = 50;
