@@ -95,7 +95,7 @@ fn main() {
                 .send(Address::from_label("shop"), 10)
                 .expect("funded");
             let at = SimTime::from_millis(1 + i as u64 * 500);
-            sim.deliver_at(at, NodeId(i % 5), NodeId(i % 5), DagMsg::Publish(send));
+            sim.deliver_at(at, NodeId(i % 5), NodeId(i % 5), DagMsg::publish(send));
         }
         sim.run_until_idle(SimTime::from_secs(60));
         print_dispatch_hash(&format!("latency-{latency_ms}ms"), &sim);
@@ -147,13 +147,13 @@ fn main() {
             SimTime::from_millis(1),
             NodeId(0),
             NodeId(0),
-            DagMsg::Publish(a),
+            DagMsg::publish(a),
         );
         sim.deliver_at(
             SimTime::from_millis(1),
             NodeId(n - 1),
             NodeId(n - 1),
-            DagMsg::Publish(b),
+            DagMsg::publish(b),
         );
         sim.run_until_idle(SimTime::from_secs(60));
         print_dispatch_hash(label, &sim);

@@ -169,7 +169,7 @@ pub fn run_blockchain_scenario(
                         exchange_at,
                         NodeId(from),
                         NodeId(to),
-                        NetMsg::Block(block.clone()),
+                        NetMsg::block(block.clone()),
                     );
                 }
             }
@@ -264,7 +264,7 @@ pub fn run_dag_scenario(
             t0.saturating_add(SimTime::from_millis(200 * (s as u64 + 1))),
             NodeId(0),
             NodeId(0),
-            DagMsg::Publish(block),
+            DagMsg::publish(block),
         );
     }
     // … plus one double spend: two conflicting sends signed for
@@ -276,12 +276,12 @@ pub fn run_dag_scenario(
         .send(Address::from_label("mule"), 100)
         .unwrap();
     let publish_at = t0.saturating_add(SimTime::from_millis(100));
-    sim.deliver_at(publish_at, NodeId(0), NodeId(0), DagMsg::Publish(honest));
+    sim.deliver_at(publish_at, NodeId(0), NodeId(0), DagMsg::publish(honest));
     sim.deliver_at(
         publish_at,
         NodeId(reps - 1),
         NodeId(reps - 1),
-        DagMsg::Publish(double),
+        DagMsg::publish(double),
     );
     sim.run_until_idle(run.saturating_add(t0));
     sim

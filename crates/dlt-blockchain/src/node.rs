@@ -38,6 +38,18 @@ pub enum NetMsg<T> {
     Tx(T),
 }
 
+impl<T: LedgerTx> NetMsg<T> {
+    /// A `Tx` carrying the loose transaction `tx`.
+    pub fn tx(tx: T) -> Self {
+        NetMsg::Tx(tx)
+    }
+
+    /// A `Block` announcing `block`.
+    pub fn block(block: Block<T>) -> Self {
+        NetMsg::Block(block)
+    }
+}
+
 /// Builds the producer's reward transaction for a freshly mined block.
 ///
 /// `None` disables coinbase insertion (structure-only experiments).
@@ -279,7 +291,7 @@ impl<T: LedgerTx> MinerNode<T> {
         ctx.trace_mark("miner.block_mined", height);
         self.seen.insert(id);
         self.accept_block(ctx, block.clone());
-        ctx.broadcast(NetMsg::Block(block));
+        ctx.broadcast(NetMsg::block(block));
     }
 
     /// Integrates a block into the local chain and updates the mempool.
@@ -496,7 +508,7 @@ mod tests {
             SimTime::from_millis(1),
             NodeId(0),
             NodeId(0),
-            NetMsg::Tx(tx),
+            NetMsg::tx(tx),
         );
         sim.run_until(SimTime::from_secs(30));
         // The tx must be in some mined block on the active chain.

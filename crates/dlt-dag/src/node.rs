@@ -33,6 +33,13 @@ pub enum DagMsg {
     Vote(Vote),
 }
 
+impl DagMsg {
+    /// A `Publish` announcing `block`.
+    pub fn publish(block: LatticeBlock) -> Self {
+        DagMsg::Publish(block)
+    }
+}
+
 /// Node configuration.
 #[derive(Debug, Clone)]
 pub struct DagNodeConfig {
@@ -94,13 +101,15 @@ pub struct DagNode {
     lattice: Lattice,
     elections: ElectionManager,
     config: DagNodeConfig,
-    /// Gossip dedup for blocks and votes.
+    /// Gossip dedup for published blocks (vote dedup lives in the
+    /// elections: [`ElectionManager::first_hearing`]).
     seen: BTreeSet<Digest>,
-    /// Blocks whose `previous` has not arrived yet, keyed by that gap.
-    gap_buffer: BTreeMap<Digest, Vec<LatticeBlock>>,
-    /// Candidate block bodies per root, so a losing node can adopt the
-    /// confirmed winner it rejected earlier.
-    candidates: BTreeMap<Digest, LatticeBlock>,
+    /// Publishes whose `previous` has not arrived yet, keyed by that gap.
+    gap_buffer: BTreeMap<Digest, Vec<Payload<DagMsg>>>,
+    /// Candidate block bodies by hash, as the shared payload they
+    /// arrived in, so a losing node can adopt the confirmed winner it
+    /// rejected earlier without keeping its own copy of every body.
+    candidates: BTreeMap<Digest, Payload<DagMsg>>,
     /// Block arrival times (µs) for confirmation-latency metrics.
     arrival_micros: BTreeMap<Digest, u64>,
     /// Locally confirmed blocks.
@@ -204,7 +213,7 @@ impl DagNode {
         }
         let m = self.handles();
         self.arrival_micros.insert(hash, ctx.now().as_micros());
-        self.candidates.insert(hash, block.clone());
+        self.candidates.insert(hash, Payload::clone(&msg));
         ctx.broadcast(Payload::clone(&msg));
 
         let root = Self::election_root(block);
@@ -216,8 +225,10 @@ impl DagNode {
                 // A gap behind this block may now be fillable.
                 if let Some(waiting) = self.gap_buffer.remove(&hash) {
                     for held in waiting {
-                        self.seen.remove(&held.hash()); // reprocess fully
-                        self.handle_publish(ctx, Payload::new(DagMsg::Publish(held)));
+                        if let DagMsg::Publish(block) = &*held {
+                            self.seen.remove(&block.hash()); // reprocess fully
+                        }
+                        self.handle_publish(ctx, held);
                     }
                 }
             }
@@ -229,12 +240,10 @@ impl DagNode {
             }
             Err(LatticeError::GapPrevious) => {
                 ctx.metrics().inc(m.gap_buffered);
-                if let DagMsg::Publish(block) = &*msg {
-                    self.gap_buffer
-                        .entry(gap_parent)
-                        .or_default()
-                        .push(block.clone());
-                }
+                self.gap_buffer
+                    .entry(gap_parent)
+                    .or_default()
+                    .push(Payload::clone(&msg));
             }
             Err(LatticeError::Duplicate) => {}
             Err(_) => {
@@ -292,15 +301,15 @@ impl DagNode {
                     ctx.metrics().inc(m.losing_branches_rolled_back);
                 }
             }
-            if let Some(block) = self.candidates.get(&winner).cloned() {
-                if self.lattice.process(block).is_err() {
-                    // Can't adopt yet (e.g. deeper gaps); leave it —
-                    // the block will be re-offered by gossip.
-                    ctx.metrics().inc(m.confirmed_unadoptable);
-                    return;
-                }
-            } else {
+            let Some(DagMsg::Publish(block)) = self.candidates.get(&winner).map(|msg| &**msg)
+            else {
                 return; // body unknown; confirmation applies on arrival
+            };
+            if self.lattice.process(block.clone()).is_err() {
+                // Can't adopt yet (e.g. deeper gaps); leave it — the
+                // block will be re-offered by gossip.
+                ctx.metrics().inc(m.confirmed_unadoptable);
+                return;
             }
         }
         if self.confirmed.insert(winner) {
@@ -327,8 +336,7 @@ impl SimNode<DagMsg> for DagNode {
             DagMsg::Publish(_) => self.handle_publish(ctx, msg),
             DagMsg::Vote(vote) => {
                 let vote = *vote;
-                let key = vote.dedup_key();
-                if !self.seen.insert(key) {
+                if !self.elections.first_hearing(&vote) {
                     return;
                 }
                 // Relay the shared payload (no per-peer deep clone).
@@ -421,7 +429,7 @@ mod tests {
             SimTime::from_millis(1),
             NodeId(0),
             NodeId(0),
-            DagMsg::Publish(send),
+            DagMsg::publish(send),
         );
         fx.sim.run_until_idle(SimTime::from_secs(10));
 
@@ -451,13 +459,13 @@ mod tests {
             SimTime::from_millis(1),
             NodeId(0),
             NodeId(0),
-            DagMsg::Publish(a.clone()),
+            DagMsg::publish(a.clone()),
         );
         fx.sim.deliver_at(
             SimTime::from_millis(1),
             NodeId(3),
             NodeId(3),
-            DagMsg::Publish(b.clone()),
+            DagMsg::publish(b.clone()),
         );
         fx.sim.run_until_idle(SimTime::from_secs(30));
 
@@ -492,13 +500,13 @@ mod tests {
             SimTime::from_millis(1),
             NodeId(1),
             NodeId(1),
-            DagMsg::Publish(s2),
+            DagMsg::publish(s2),
         );
         fx.sim.deliver_at(
             SimTime::from_millis(50),
             NodeId(1),
             NodeId(1),
-            DagMsg::Publish(s1),
+            DagMsg::publish(s1),
         );
         fx.sim.run_until_idle(SimTime::from_secs(10));
         for i in 0..3 {
@@ -522,11 +530,59 @@ mod tests {
             SimTime::from_millis(1),
             NodeId(0),
             NodeId(0),
-            DagMsg::Publish(send),
+            DagMsg::publish(send),
         );
         fx.sim.run_until_idle(SimTime::from_secs(10));
         assert_eq!(fx.sim.metrics().count("dag.forks_detected"), 0);
         assert_eq!(fx.sim.metrics().count("dag.losing_branches_rolled_back"), 0);
+    }
+
+    #[test]
+    fn votes_relay_once_per_representative_candidate_and_root() {
+        // Node 0 relays to node 1 only, and node 1 has no peers, so
+        // every scheduled message is one relay (or publish) by node 0.
+        let mut fx = fixture(6, 2, 10);
+        fx.sim
+            .network_mut()
+            .set_topology(vec![vec![NodeId(1)], vec![]]);
+        let mut at = 0;
+        let mut deliver = |fx: &mut Fixture, msg: DagMsg| {
+            at += 100;
+            fx.sim
+                .deliver_at(SimTime::from_millis(at), NodeId(0), NodeId(0), msg);
+            fx.sim.run_until_idle(SimTime::from_secs(10));
+            fx.sim.metrics().count("net.messages")
+        };
+        let other = fx.rep_accounts[1].address();
+        let root = (Address::from_label("account"), Digest::ZERO);
+        let other_root = (root.0, Address::from_label("previous").0);
+        let (x, y) = (Address::from_label("x").0, Address::from_label("y").0);
+        let vote = |root, candidate| {
+            DagMsg::Vote(Vote {
+                representative: other,
+                root,
+                candidate,
+            })
+        };
+        assert_eq!(deliver(&mut fx, vote(root, x)), 1, "first hearing");
+        assert_eq!(deliver(&mut fx, vote(root, x)), 1, "repeat");
+        assert_eq!(deliver(&mut fx, vote(root, y)), 2, "other candidate");
+        assert_eq!(deliver(&mut fx, vote(root, x)), 2, "flip back");
+        assert_eq!(deliver(&mut fx, vote(other_root, x)), 3, "other root");
+
+        // Node 0 relays a publish and casts its own vote, which it
+        // tallies without hearing it: the first echo is relayed.
+        let send = fx.rep_accounts[0]
+            .send(Address::from_label("z"), 5)
+            .unwrap();
+        let own = DagMsg::Vote(Vote {
+            representative: fx.rep_accounts[0].address(),
+            root: DagNode::election_root(&send),
+            candidate: send.hash(),
+        });
+        assert_eq!(deliver(&mut fx, DagMsg::publish(send)), 5, "publish + vote");
+        assert_eq!(deliver(&mut fx, own.clone()), 6, "own vote's echo");
+        assert_eq!(deliver(&mut fx, own), 6, "second echo");
     }
 
     #[test]
@@ -539,7 +595,7 @@ mod tests {
             SimTime::from_millis(1),
             NodeId(1),
             NodeId(1),
-            DagMsg::Publish(send),
+            DagMsg::publish(send),
         );
         fx.sim.run_until_idle(SimTime::from_secs(10));
         let latency = fx.sim.metrics().mean("dag.confirm_latency_ms");

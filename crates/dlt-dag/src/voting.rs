@@ -37,20 +37,6 @@ pub struct Vote {
     pub candidate: Digest,
 }
 
-impl Vote {
-    /// A dedup key for gossip relay.
-    pub fn dedup_key(&self) -> Digest {
-        use dlt_crypto::sha256::Sha256;
-        let mut h = Sha256::new();
-        h.update(b"vote-dedup");
-        h.update(self.representative.0.as_bytes());
-        h.update(self.root.0 .0.as_bytes());
-        h.update(self.root.1.as_bytes());
-        h.update(self.candidate.as_bytes());
-        h.finalize()
-    }
-}
-
 /// A running tally over the candidates for one root.
 #[derive(Debug, Clone, Default)]
 pub struct Election {
@@ -58,6 +44,9 @@ pub struct Election {
     tallies: BTreeMap<Digest, u64>,
     /// Which candidate each representative currently backs.
     voted: BTreeMap<Address, Digest>,
+    /// Every `(representative, candidate)` pair this node has heard by
+    /// gossip, sorted: the relay dedup record. Exact, never pruned.
+    heard: Vec<(Address, Digest)>,
     confirmed: Option<Digest>,
 }
 
@@ -91,6 +80,19 @@ impl Election {
         }
         let leader_after = self.leader().map(|(hash, _)| hash);
         leader_before.is_some() && leader_before != leader_after
+    }
+
+    /// Records that gossip carried `representative`'s vote for
+    /// `candidate`. Returns `true` the first time the pair is heard.
+    fn hear(&mut self, representative: Address, candidate: Digest) -> bool {
+        let pair = (representative, candidate);
+        match self.heard.binary_search(&pair) {
+            Ok(_) => false,
+            Err(at) => {
+                self.heard.insert(at, pair);
+                true
+            }
+        }
     }
 
     /// The leading candidate and its weight.
@@ -184,6 +186,16 @@ impl ElectionManager {
     /// The election for a root, if any.
     pub fn election(&self, root: &ElectionRoot) -> Option<&Election> {
         self.elections.get(root)
+    }
+
+    /// Whether this is the first time gossip carried `vote`: the relay
+    /// dedup. A vote this node casts itself is tallied without being
+    /// heard, so its first echo still counts as a first hearing.
+    pub(crate) fn first_hearing(&mut self, vote: &Vote) -> bool {
+        self.elections
+            .entry(vote.root)
+            .or_default()
+            .hear(vote.representative, vote.candidate)
     }
 
     /// Records a vote and attempts confirmation against
@@ -329,16 +341,30 @@ mod tests {
     }
 
     #[test]
-    fn vote_dedup_key_distinguishes() {
-        let v1 = Vote {
-            representative: rep("a"),
-            root: root(),
-            candidate: sha256(b"x"),
+    fn first_hearing_is_exact_per_representative_candidate_and_root() {
+        let mut m = ElectionManager::new(0.5);
+        let (x, y) = (sha256(b"x"), sha256(b"y"));
+        let vote = |r: &str, root: ElectionRoot, candidate| Vote {
+            representative: rep(r),
+            root,
+            candidate,
         };
-        let mut v2 = v1;
-        v2.candidate = sha256(b"y");
-        assert_ne!(v1.dedup_key(), v2.dedup_key());
-        assert_eq!(v1.dedup_key(), v1.dedup_key());
+        let other_root = (Address::from_label("account"), sha256(b"other"));
+        // Tallying a vote (as a node does with its own) does not mark
+        // it heard: its first echo is still a first hearing.
+        m.tally(vote("a", root(), x), 100, 1000);
+        assert!(m.first_hearing(&vote("a", root(), x)));
+        // A repeat is a duplicate.
+        assert!(!m.first_hearing(&vote("a", root(), x)));
+        // The same representative backing another candidate is new.
+        assert!(m.first_hearing(&vote("a", root(), y)));
+        // Flipping back to the first candidate is a duplicate.
+        assert!(!m.first_hearing(&vote("a", root(), x)));
+        // Another representative, or the same pair under another root,
+        // is not conflated.
+        assert!(m.first_hearing(&vote("b", root(), x)));
+        assert!(m.first_hearing(&vote("a", other_root, x)));
+        assert!(!m.first_hearing(&vote("a", other_root, x)));
     }
 
     #[test]

@@ -9,10 +9,12 @@
 //! Execution is deterministic: events are ordered by `(time, sequence
 //! number)`, and all randomness comes from the simulation's seeded RNG.
 //!
-//! The hot path is allocation-light: scheduled message payloads are
-//! shared behind [`Payload`] (an `Rc`), so an N-peer broadcast
-//! allocates the message once and every relay re-shares the same
-//! allocation; the engine's own counters go through pre-interned
+//! The send path allocates nothing beyond the queue itself: scheduled
+//! message payloads are shared behind [`Payload`] (an `Rc`), so an
+//! N-peer broadcast allocates the message once and every relay
+//! re-shares the same allocation; each send's delivery delays go into
+//! one buffer the engine reuses, and a broadcast walks the peer list
+//! in place; the engine's own counters go through pre-interned
 //! [`crate::metrics::CounterId`] handles. Every send, schedule,
 //! dispatch, and network-drop point also calls the installed
 //! [`Tracer`] (none by default — see [`Simulation::set_tracer`]), and
@@ -144,6 +146,9 @@ struct Core<M> {
     dispatch_hash: u64,
     // Optional message fingerprint, folded per delivery when set.
     msg_digester: Option<fn(&M) -> u64>,
+    // Delivery delays of the send in progress, reused by every send so
+    // the send path allocates nothing.
+    deliveries: Vec<SimTime>,
 }
 
 impl<M> Core<M> {
@@ -161,7 +166,9 @@ impl<M> Core<M> {
     }
 
     fn send_from(&mut self, from: NodeId, to: NodeId, msg: Payload<M>) {
-        let mut deliveries = self.network.deliveries(from, to, &mut self.rng);
+        let mut deliveries = std::mem::take(&mut self.deliveries);
+        self.network
+            .deliveries(from, to, &mut self.rng, &mut deliveries);
         if let Some(interceptor) = self.interceptor.as_deref_mut() {
             interceptor.intercept(self.now, from, to, &mut deliveries);
         }
@@ -181,9 +188,8 @@ impl<M> Core<M> {
                     to,
                 });
             }
-            return;
         }
-        for delay in deliveries {
+        for &delay in &deliveries {
             self.metrics.inc(self.net_messages);
             self.schedule(
                 self.now.saturating_add(delay),
@@ -194,6 +200,7 @@ impl<M> Core<M> {
                 },
             );
         }
+        self.deliveries = deliveries;
     }
 
     fn mark(&mut self, label: &'static str, value: u64) {
@@ -264,9 +271,10 @@ impl<'a, M> Context<'a, M> {
     pub fn broadcast(&mut self, msg: impl Into<Payload<M>>) {
         let msg = msg.into();
         let from = self.node;
-        let peers = self.core.network.peers_of(from, self.core.node_count);
-        for to in peers {
+        let mut k = 0;
+        while let Some(to) = self.core.network.peer(from, k, self.core.node_count) {
             self.core.send_from(from, to, Rc::clone(&msg));
+            k += 1;
         }
     }
 
@@ -313,6 +321,7 @@ impl<M, N: SimNode<M>> Simulation<M, N> {
                 interceptor: None,
                 dispatch_hash: 0,
                 msg_digester: None,
+                deliveries: Vec::new(),
             },
         }
     }
@@ -330,12 +339,6 @@ impl<M, N: SimNode<M>> Simulation<M, N> {
     /// `on_start` bootstrap traffic — are not intercepted.
     pub fn set_interceptor(&mut self, interceptor: impl Interceptor + 'static) {
         self.core.interceptor = Some(Box::new(interceptor));
-    }
-
-    /// Removes any installed interceptor, restoring the plain
-    /// network-model send path.
-    pub fn clear_interceptor(&mut self) {
-        self.core.interceptor = None;
     }
 
     /// Adds a node and invokes its [`SimNode::on_start`]. Returns the
@@ -395,11 +398,6 @@ impl<M, N: SimNode<M>> Simulation<M, N> {
         &self.core.metrics
     }
 
-    /// Mutable metrics access (e.g. for harness-level counters).
-    pub fn metrics_mut(&mut self) -> &mut Metrics {
-        &mut self.core.metrics
-    }
-
     /// Consumes the simulation and returns its metrics — the shard
     /// executor's hand-off path ([`crate::shard::ShardWorker::finish`]).
     /// Consuming (rather than `mem::take`-style borrowing) keeps the
@@ -407,11 +405,6 @@ impl<M, N: SimNode<M>> Simulation<M, N> {
     /// emptied table.
     pub fn into_metrics(self) -> Metrics {
         self.core.metrics
-    }
-
-    /// The simulation RNG (e.g. for workload generation).
-    pub fn rng_mut(&mut self) -> &mut SimRng {
-        &mut self.core.rng
     }
 
     /// Injects a message from `from` to `to` as if `from` had sent it
@@ -951,6 +944,105 @@ mod tests {
         assert!(events
             .iter()
             .any(|e| matches!(e, TraceEvent::Sent { deliveries: 0, .. })));
+    }
+
+    #[test]
+    fn reused_delivery_buffer_carries_nothing_between_sends() {
+        // Empties the first send, adds two delays to the second and
+        // leaves every later send alone.
+        struct Script {
+            sends: u32,
+        }
+        impl Interceptor for Script {
+            fn intercept(&mut self, _: SimTime, _: NodeId, _: NodeId, d: &mut Vec<SimTime>) {
+                self.sends += 1;
+                match self.sends {
+                    1 => d.clear(),
+                    2 => d.extend([SimTime::from_millis(20), SimTime::from_millis(30)]),
+                    _ => {}
+                }
+            }
+        }
+        let mut sim = Simulation::new(23, fixed(10));
+        let a = sim.add_node(Recorder::default());
+        let b = sim.add_node(Recorder::default());
+        sim.set_interceptor(Script { sends: 0 });
+        let mut scheduled = Vec::new();
+        for i in 0..3 {
+            sim.send_external(a, b, Msg::Ping(i));
+            scheduled.push(sim.pending_events());
+            sim.run_until_idle(SimTime::from_secs(1));
+        }
+        assert_eq!(scheduled, vec![0, 3, 1]);
+        let received: Vec<Msg> = sim.node(b).received.iter().map(|r| r.1.clone()).collect();
+        assert_eq!(
+            received,
+            vec![Msg::Ping(1), Msg::Ping(1), Msg::Ping(1), Msg::Ping(2)]
+        );
+        assert_eq!(sim.metrics().count("net.messages"), 4);
+    }
+
+    #[test]
+    fn broadcast_addresses_peers_in_topology_order_across_partitions() {
+        struct Broadcaster;
+        impl SimNode<Msg> for Broadcaster {
+            fn on_message(&mut self, ctx: &mut Context<'_, Msg>, _: NodeId, _: Payload<Msg>) {
+                ctx.broadcast(Msg::Ping(0));
+            }
+        }
+        // Every send `broadcaster` makes, as (to, deliveries).
+        fn sends(configure: impl FnOnce(&mut Network), broadcaster: NodeId) -> Vec<(usize, u32)> {
+            let tracer = RecordingTracer::new();
+            let log = tracer.log();
+            let mut sim = Simulation::new(24, fixed(10));
+            for _ in 0..4 {
+                sim.add_node(Broadcaster);
+            }
+            configure(sim.network_mut());
+            sim.set_tracer(tracer);
+            sim.deliver_at(SimTime::ZERO, broadcaster, broadcaster, Msg::Ping(0));
+            sim.step();
+            log.snapshot()
+                .iter()
+                .filter_map(|e| match e {
+                    TraceEvent::Sent {
+                        from,
+                        to,
+                        deliveries,
+                        ..
+                    } if *from == broadcaster => Some((to.0, *deliveries)),
+                    _ => None,
+                })
+                .collect()
+        }
+        let split = |n: &mut Network| {
+            n.partition(4, &[&[NodeId(0), NodeId(1)], &[NodeId(2), NodeId(3)]]);
+        };
+        // Full mesh: every other node in id order.
+        assert_eq!(sends(|_| {}, NodeId(2)), vec![(0, 1), (1, 1), (3, 1)]);
+        // A partition still addresses every peer; cross-group sends drop.
+        assert_eq!(sends(split, NodeId(2)), vec![(0, 0), (1, 0), (3, 1)]);
+        // An explicit topology: adjacency-list order, not id order.
+        let star = |n: &mut Network| {
+            n.set_topology(vec![
+                vec![NodeId(3), NodeId(1), NodeId(2)],
+                vec![],
+                vec![],
+                vec![],
+            ]);
+        };
+        assert_eq!(sends(star, NodeId(0)), vec![(3, 1), (1, 1), (2, 1)]);
+        assert_eq!(sends(star, NodeId(1)), vec![]);
+        assert_eq!(
+            sends(
+                |n| {
+                    star(n);
+                    split(n);
+                },
+                NodeId(0)
+            ),
+            vec![(3, 0), (1, 1), (2, 0)]
+        );
     }
 
     #[test]

@@ -87,12 +87,6 @@ impl Network {
         self
     }
 
-    /// Replaces the latency model.
-    pub fn set_latency(&mut self, latency: LatencyModel) -> &mut Self {
-        self.latency = latency;
-        self
-    }
-
     /// The current latency model.
     pub fn latency(&self) -> &LatencyModel {
         &self.latency
@@ -149,28 +143,38 @@ impl Network {
         }
     }
 
-    /// The peers `from` would address with a broadcast.
-    pub fn peers_of(&self, from: NodeId, node_count: usize) -> Vec<NodeId> {
+    /// The `k`-th peer `from` addresses with a broadcast, or `None`
+    /// past the last one. Peers come in adjacency-list order under an
+    /// explicit topology and in id order on a full mesh of `node_count`
+    /// nodes; partitions do not remove peers (the send is dropped).
+    pub(crate) fn peer(&self, from: NodeId, k: usize, node_count: usize) -> Option<NodeId> {
         match &self.topology {
-            Some(adj) => adj.get(from.0).cloned().unwrap_or_default(),
-            None => (0..node_count).map(NodeId).filter(|&n| n != from).collect(),
+            Some(adj) => adj.get(from.0)?.get(k).copied(),
+            None => {
+                let id = if k < from.0 { k } else { k + 1 };
+                (id < node_count).then_some(NodeId(id))
+            }
         }
     }
 
-    /// Decides the fate of one message: a (possibly empty) list of
-    /// delivery delays.
-    pub fn deliveries(&self, from: NodeId, to: NodeId, rng: &mut SimRng) -> Vec<SimTime> {
-        if !self.can_reach(from, to) {
-            return Vec::new();
+    /// Decides the fate of one message: fills `out` (cleared first)
+    /// with its delivery delays, none when dropped and two when
+    /// duplicated.
+    pub(crate) fn deliveries(
+        &self,
+        from: NodeId,
+        to: NodeId,
+        rng: &mut SimRng,
+        out: &mut Vec<SimTime>,
+    ) {
+        out.clear();
+        if !self.can_reach(from, to) || rng.chance(self.drop_probability) {
+            return;
         }
-        if rng.chance(self.drop_probability) {
-            return Vec::new();
-        }
-        let mut out = vec![self.latency.sample(rng)];
+        out.push(self.latency.sample(rng));
         if rng.chance(self.duplicate_probability) {
             out.push(self.latency.sample(rng));
         }
-        out
     }
 
     /// The set of partition groups currently in force (for assertions in
@@ -197,6 +201,16 @@ mod tests {
         Network::new(LatencyModel::Fixed(SimTime::from_millis(10)))
     }
 
+    fn peers(n: &Network, from: NodeId, node_count: usize) -> Vec<NodeId> {
+        (0..).map_while(|k| n.peer(from, k, node_count)).collect()
+    }
+
+    fn deliveries(n: &Network, rng: &mut SimRng) -> Vec<SimTime> {
+        let mut out = vec![SimTime::from_secs(99)];
+        n.deliveries(NodeId(0), NodeId(1), rng, &mut out);
+        out
+    }
+
     #[test]
     fn node_id_codec_round_trip() {
         for id in [NodeId(0), NodeId(7), NodeId(usize::MAX)] {
@@ -214,9 +228,12 @@ mod tests {
         assert!(n.can_reach(NodeId(5), NodeId(0)));
         assert!(!n.can_reach(NodeId(3), NodeId(3)));
         assert_eq!(
-            n.peers_of(NodeId(1), 4),
+            peers(&n, NodeId(1), 4),
             vec![NodeId(0), NodeId(2), NodeId(3)]
         );
+        assert_eq!(peers(&n, NodeId(0), 3), vec![NodeId(1), NodeId(2)]);
+        assert_eq!(peers(&n, NodeId(2), 3), vec![NodeId(0), NodeId(1)]);
+        assert_eq!(peers(&n, NodeId(0), 1), Vec::<NodeId>::new());
     }
 
     #[test]
@@ -231,7 +248,9 @@ mod tests {
         assert!(!n.can_reach(NodeId(0), NodeId(2)));
         assert!(n.can_reach(NodeId(1), NodeId(2)));
         assert!(!n.can_reach(NodeId(2), NodeId(0)));
-        assert_eq!(n.peers_of(NodeId(2), 3), Vec::<NodeId>::new());
+        assert_eq!(peers(&n, NodeId(1), 3), vec![NodeId(0), NodeId(2)]);
+        assert_eq!(peers(&n, NodeId(2), 3), Vec::<NodeId>::new());
+        assert_eq!(peers(&n, NodeId(5), 3), Vec::<NodeId>::new());
     }
 
     #[test]
@@ -263,7 +282,7 @@ mod tests {
         n.set_drop_probability(1.0);
         let mut rng = SimRng::new(1);
         for _ in 0..50 {
-            assert!(n.deliveries(NodeId(0), NodeId(1), &mut rng).is_empty());
+            assert!(deliveries(&n, &mut rng).is_empty());
         }
     }
 
@@ -272,8 +291,7 @@ mod tests {
         let n = net();
         let mut rng = SimRng::new(2);
         for _ in 0..50 {
-            let d = n.deliveries(NodeId(0), NodeId(1), &mut rng);
-            assert_eq!(d, vec![SimTime::from_millis(10)]);
+            assert_eq!(deliveries(&n, &mut rng), vec![SimTime::from_millis(10)]);
         }
     }
 
@@ -283,7 +301,7 @@ mod tests {
         n.set_duplicate_probability(0.5);
         let mut rng = SimRng::new(3);
         let twos = (0..1000)
-            .filter(|_| n.deliveries(NodeId(0), NodeId(1), &mut rng).len() == 2)
+            .filter(|_| deliveries(&n, &mut rng).len() == 2)
             .count();
         assert!((300..700).contains(&twos), "dup count {twos}");
     }
@@ -294,7 +312,7 @@ mod tests {
         n.set_drop_probability(0.3);
         let mut rng = SimRng::new(4);
         let dropped = (0..10_000)
-            .filter(|_| n.deliveries(NodeId(0), NodeId(1), &mut rng).is_empty())
+            .filter(|_| deliveries(&n, &mut rng).is_empty())
             .count();
         assert!((2500..3500).contains(&dropped), "dropped {dropped}");
     }

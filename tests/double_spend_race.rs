@@ -85,7 +85,7 @@ fn attacker_wins(seed: u64, attacker_share: f64, secret_secs: u64) -> bool {
                 sim.now(),
                 attacker,
                 NodeId(honest),
-                NetMsg::Block(block.clone()),
+                NetMsg::block(block.clone()),
             );
         }
     }

@@ -94,7 +94,7 @@ fn blockchain_converges_after_lossy_partition() {
                     exchange_at,
                     NodeId(from),
                     NodeId(to),
-                    NetMsg::Block(block.clone()),
+                    NetMsg::block(block.clone()),
                 );
             }
         }
@@ -210,7 +210,7 @@ fn dag_quorum_tolerates_byzantine_late_half() {
             SimTime::from_millis(500 * (s as u64 + 1)),
             NodeId(0),
             NodeId(0),
-            DagMsg::Publish(block),
+            DagMsg::publish(block),
         );
     }
     sim.run_until_idle(SimTime::from_secs(60));
@@ -268,13 +268,13 @@ fn dag_double_spend_settles_one_winner_under_loss() {
         SimTime::from_millis(1),
         NodeId(0),
         NodeId(0),
-        DagMsg::Publish(honest),
+        DagMsg::publish(honest),
     );
     sim.deliver_at(
         SimTime::from_millis(1),
         NodeId(reps - 1),
         NodeId(reps - 1),
-        DagMsg::Publish(double),
+        DagMsg::publish(double),
     );
     sim.run_until_idle(SimTime::from_secs(60));
 

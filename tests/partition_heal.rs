@@ -73,7 +73,7 @@ fn blockchain_partition_forks_then_converges() {
         let branch: Vec<_> = sim.node(from).chain().iter_active().cloned().collect();
         for block in branch.into_iter().skip(1) {
             for to in to_side {
-                sim.deliver_at(sim.now(), from, to, NetMsg::Block(block.clone()));
+                sim.deliver_at(sim.now(), from, to, NetMsg::block(block.clone()));
             }
         }
     }
@@ -151,13 +151,13 @@ fn dag_partition_with_disjoint_accounts_merges_cleanly() {
         SimTime::from_millis(1),
         NodeId(0),
         NodeId(0),
-        DagMsg::Publish(left_send),
+        DagMsg::publish(left_send),
     );
     sim.deliver_at(
         SimTime::from_millis(1),
         NodeId(2),
         NodeId(2),
-        DagMsg::Publish(right_send),
+        DagMsg::publish(right_send),
     );
     sim.run_until_idle(SimTime::from_secs(10));
 
@@ -177,13 +177,13 @@ fn dag_partition_with_disjoint_accounts_merges_cleanly() {
             sim.now(),
             NodeId(0),
             NodeId(i),
-            DagMsg::Publish(left_block.clone()),
+            DagMsg::publish(left_block.clone()),
         );
         sim.deliver_at(
             sim.now(),
             NodeId(2),
             NodeId(i),
-            DagMsg::Publish(right_block.clone()),
+            DagMsg::publish(right_block.clone()),
         );
     }
     sim.run_until_idle(sim.now() + SimTime::from_secs(10));
