@@ -282,10 +282,7 @@ impl ShardLedgerWorker {
     /// `params.duration` pre-loaded into the event queue.
     pub fn new(params: &ShardNetParams, shard: usize) -> Self {
         assert!(params.capacity > 0.0 && params.offered_per_shard > 0.0);
-        let mut sim = Simulation::with_network(
-            mix(params.seed, shard as u64),
-            dlt_sim::network::Network::new(LatencyModel::lan()),
-        );
+        let mut sim = Simulation::new(mix(params.seed, shard as u64), LatencyModel::lan());
         sim.set_msg_digester(digest_msg);
         let service = SimTime::from_secs_f64(1.0 / params.capacity);
         sim.add_node(Node::Validator(Validator::new(service)));

@@ -280,11 +280,6 @@ impl CasperFfg {
         *self.finalized.last().expect("genesis is always finalized")
     }
 
-    /// All finalized checkpoints in order.
-    pub fn finalized_checkpoints(&self) -> &[Checkpoint] {
-        &self.finalized
-    }
-
     /// Processes a vote: slashing conditions first (double vote,
     /// surround vote — both burn the offender's stake immediately),
     /// then justification/finalization accounting.

@@ -118,11 +118,6 @@ impl PosChain {
         self.finalized_height
     }
 
-    /// The slot a timestamp falls into.
-    pub fn slot_of(&self, timestamp_micros: u64) -> u64 {
-        timestamp_micros / self.params.slot_micros
-    }
-
     /// The validator entitled to propose in `slot` on top of `parent`
     /// (the schedule is seeded by the parent block id, so every node
     /// extending the same branch agrees on it).

@@ -66,12 +66,6 @@ pub fn sample_mining_time(rng: &mut SimRng, hashrate: f64, difficulty: u64) -> S
     SimTime::from_secs_f64(rng.exponential(mean_secs))
 }
 
-/// Expected number of hash attempts at a difficulty (trivially the
-/// difficulty itself; named for readability in the energy experiment).
-pub fn expected_attempts(difficulty: u64) -> u64 {
-    difficulty
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -6,9 +6,9 @@
 //! uniform surface:
 //!
 //! * [`Keypair`] — a signing identity. UTXO outputs use one-time
-//!   [`Keypair::lamport`]/[`Keypair::wots`] keys (a fresh key per
-//!   output, matching address-hygiene practice in Bitcoin); account
-//!   chains use many-time [`Keypair::mss`] keys.
+//!   [`Keypair::wots`] keys (a fresh key per output, matching
+//!   address-hygiene practice in Bitcoin); account chains use many-time
+//!   [`Keypair::mss`] keys.
 //! * [`PublicKey`] — the compact commitment a verifier checks against.
 //! * [`Address`] — `H(public key)`, the pay-to-public-key-hash rule.
 //! * [`Signature`] — scheme-tagged signature with unified `verify`.
@@ -17,7 +17,6 @@ use std::fmt;
 
 use crate::codec::{Decode, DecodeError, Encode};
 use crate::digest::Digest;
-use crate::lamport::{LamportKeypair, LamportSignature};
 use crate::mss::{KeyExhausted, MssKeypair, MssSignature};
 use crate::sha256::{sha256, Sha256};
 use crate::wots::{WotsKeypair, WotsSignature};
@@ -102,11 +101,10 @@ impl Decode for Address {
     }
 }
 
-/// A scheme-tagged signature.
+/// A scheme-tagged signature. Codec tag 1 is WOTS and tag 2 is MSS; any
+/// other tag, 0 included, is rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Signature {
-    /// Lamport one-time signature (largest, simplest).
-    Lamport(LamportSignature),
     /// Winternitz one-time signature (compact one-time).
     Wots(WotsSignature),
     /// Merkle many-time signature (account chains).
@@ -117,7 +115,6 @@ impl Signature {
     /// Verifies the signature over `msg` against `public`.
     pub fn verify(&self, msg: &Digest, public: &PublicKey) -> bool {
         match self {
-            Signature::Lamport(sig) => sig.verify(msg, &public.0),
             Signature::Wots(sig) => sig.verify(msg, &public.0),
             Signature::Mss(sig) => sig.verify(msg, &public.0),
         }
@@ -132,10 +129,6 @@ impl Signature {
 impl Encode for Signature {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
-            Signature::Lamport(sig) => {
-                out.push(0);
-                sig.encode(out);
-            }
             Signature::Wots(sig) => {
                 out.push(1);
                 sig.encode(out);
@@ -151,7 +144,6 @@ impl Encode for Signature {
 impl Decode for Signature {
     fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
         match u8::decode(input)? {
-            0 => Ok(Signature::Lamport(LamportSignature::decode(input)?)),
             1 => Ok(Signature::Wots(WotsSignature::decode(input)?)),
             2 => Ok(Signature::Mss(MssSignature::decode(input)?)),
             t => Err(DecodeError::InvalidTag(t)),
@@ -177,8 +169,6 @@ impl Decode for Signature {
 /// ```
 #[derive(Debug, Clone)]
 pub enum Keypair {
-    /// One-time Lamport key.
-    Lamport(LamportKeypair),
     /// One-time WOTS key.
     Wots(WotsKeypair),
     /// Many-time MSS key.
@@ -186,11 +176,6 @@ pub enum Keypair {
 }
 
 impl Keypair {
-    /// Generates a fresh one-time Lamport keypair.
-    pub fn lamport<R: dlt_testkit::rng::RngCore + ?Sized>(rng: &mut R) -> Self {
-        Keypair::Lamport(LamportKeypair::generate(rng))
-    }
-
     /// Generates a fresh one-time WOTS keypair.
     pub fn wots<R: dlt_testkit::rng::RngCore + ?Sized>(rng: &mut R) -> Self {
         Keypair::Wots(WotsKeypair::generate(rng))
@@ -215,7 +200,6 @@ impl Keypair {
     /// The public key verifiers check signatures against.
     pub fn public_key(&self) -> PublicKey {
         let digest = match self {
-            Keypair::Lamport(kp) => kp.public_digest(),
             Keypair::Wots(kp) => kp.public_digest(),
             Keypair::Mss(kp) => kp.public_digest(),
         };
@@ -237,7 +221,6 @@ impl Keypair {
     /// construction.
     pub fn sign(&mut self, msg: &Digest) -> Result<Signature, KeyExhausted> {
         match self {
-            Keypair::Lamport(kp) => Ok(Signature::Lamport(kp.sign(msg))),
             Keypair::Wots(kp) => Ok(Signature::Wots(kp.sign(msg))),
             Keypair::Mss(kp) => Ok(Signature::Mss(kp.sign(msg)?)),
         }
@@ -278,7 +261,6 @@ mod tests {
         let mut rng = Xoshiro256StarStar::seed_from_u64(7);
         let msg = sha256(b"unified message");
         for mut kp in [
-            Keypair::lamport(&mut rng),
             Keypair::wots(&mut rng),
             Keypair::mss_from_seed([3u8; 32], 2),
         ] {
@@ -294,7 +276,6 @@ mod tests {
         let mut rng = Xoshiro256StarStar::seed_from_u64(8);
         let msg = sha256(b"codec");
         for mut kp in [
-            Keypair::lamport(&mut rng),
             Keypair::wots(&mut rng),
             Keypair::mss_from_seed([4u8; 32], 2),
         ] {
@@ -311,6 +292,14 @@ mod tests {
         assert!(matches!(
             decode_exact::<Signature>(&[9]),
             Err(DecodeError::InvalidTag(9))
+        ));
+    }
+
+    #[test]
+    fn signature_decode_rejects_lamport_tag() {
+        assert!(matches!(
+            decode_exact::<Signature>(&[0]),
+            Err(DecodeError::InvalidTag(0))
         ));
     }
 

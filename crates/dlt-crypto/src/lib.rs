@@ -15,8 +15,8 @@
 //!   ([`Encode`](codec::Encode) / [`Decode`](codec::Decode)) used for
 //!   hashing preimages and for ledger-size accounting.
 //! * [`keys`] — key material and [`Address`](keys::Address) derivation.
-//! * [`lamport`] — Lamport one-time signatures.
-//! * [`wots`] — Winternitz one-time signatures (smaller than Lamport).
+//! * [`wots`] — Winternitz one-time signatures, the one-time scheme
+//!   UTXO outputs are signed with.
 //! * [`mss`] — a Merkle signature scheme (a Merkle tree over WOTS leaf
 //!   keys) giving a many-time signature suitable for account chains.
 //! * [`merkle`] — binary Merkle trees with inclusion proofs.
@@ -46,7 +46,6 @@ pub mod codec;
 pub mod digest;
 pub mod hexutil;
 pub mod keys;
-pub mod lamport;
 pub mod merkle;
 pub mod mss;
 pub mod sha256;

@@ -1,8 +1,8 @@
 //! Winternitz one-time signatures (WOTS).
 //!
-//! WOTS trades signing/verification hashing for much smaller signatures
-//! than [Lamport](crate::lamport): with the Winternitz parameter
-//! `w = 16` a signature is 67 × 32 B ≈ 2.1 KiB instead of 16 KiB.
+//! WOTS trades signing/verification hashing for small signatures: with
+//! the Winternitz parameter `w = 16` a signature is 67 × 32 B ≈ 2.1 KiB,
+//! where revealing one preimage per digest bit would take 16 KiB.
 //!
 //! The message digest is split into 64 base-16 digits; a checksum of
 //! `Σ (15 − dᵢ)` (three more digits) prevents an attacker from bumping a
@@ -357,7 +357,7 @@ mod tests {
     }
 
     #[test]
-    fn signature_much_smaller_than_lamport() {
+    fn signature_is_under_3_kib() {
         let kp = WotsKeypair::from_seed([10u8; 32]);
         let sig = kp.sign(&sha256(b"size"));
         assert!(sig.size_bytes() < 3 * 1024, "size {}", sig.size_bytes());

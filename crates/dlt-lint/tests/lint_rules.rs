@@ -1,8 +1,9 @@
 //! Integration tests over the fixture corpus: one positive and one
 //! negative case per rule, suppression handling, and the scoping
 //! rules (sim-crate paths, the hot-path functions, the trailing
-//! `#[cfg(test)]` region). Two tests scan the live workspace: it has
-//! no open findings, and `unsafe` appears only where it is fenced.
+//! `#[cfg(test)]` region). Three tests scan the live workspace: it has
+//! no open findings, `unsafe` appears only where it is fenced, and
+//! every `pub fn` is mentioned somewhere besides its definition.
 //!
 //! The fixtures live under `tests/fixtures/` and are plain text to the
 //! linter — they are never compiled, so they can use types and crates
@@ -223,16 +224,16 @@ fn tokens_in_strings_and_comments_are_masked() {
     assert!(findings.is_empty(), "{findings:?}");
 }
 
-/// Every `crates/*/src/**/*.rs` file, as (workspace-relative path,
-/// source), sorted by path.
-fn workspace_sources() -> Vec<(String, String)> {
+/// Every `*.rs` file under the workspace-relative directory `dir`, as
+/// (workspace-relative path, source), sorted by path.
+fn rust_sources(dir: &str) -> Vec<(String, String)> {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .parent()
         .and_then(|p| p.parent())
         .expect("workspace root")
         .to_path_buf();
     let mut sources = Vec::new();
-    let mut stack = vec![root.join("crates")];
+    let mut stack = vec![root.join(dir)];
     while let Some(dir) = stack.pop() {
         let Ok(entries) = std::fs::read_dir(&dir) else {
             continue;
@@ -241,9 +242,7 @@ fn workspace_sources() -> Vec<(String, String)> {
             let path = entry.path();
             if path.is_dir() {
                 stack.push(path);
-            } else if path.extension().is_some_and(|e| e == "rs")
-                && path.components().any(|c| c.as_os_str() == "src")
-            {
+            } else if path.extension().is_some_and(|e| e == "rs") {
                 let rel = path
                     .strip_prefix(&root)
                     .expect("under root")
@@ -256,6 +255,15 @@ fn workspace_sources() -> Vec<(String, String)> {
     }
     sources.sort();
     sources
+}
+
+/// Every `crates/*/src/**/*.rs` file, as (workspace-relative path,
+/// source), sorted by path.
+fn workspace_sources() -> Vec<(String, String)> {
+    rust_sources("crates")
+        .into_iter()
+        .filter(|(rel, _)| rel.split('/').any(|c| c == "src"))
+        .collect()
 }
 
 #[test]
@@ -281,6 +289,12 @@ fn the_live_workspace_is_clean() {
     );
 }
 
+/// The identifier-shaped words of `line`.
+fn words(line: &str) -> impl Iterator<Item = &str> {
+    line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+        .filter(|w| !w.is_empty())
+}
+
 /// The one file allowed to contain `unsafe`: the SHA-256 kernel
 /// dispatch, which calls the SHA-NI kernel after CPU feature detection.
 const UNSAFE_HOME: &str = "crates/dlt-crypto/src/sha256.rs";
@@ -295,10 +309,7 @@ fn unsafe_is_fenced_to_the_sha256_kernel_dispatch() {
             let code = dlt_lint::mask::mask(source).code;
             code.lines()
                 .enumerate()
-                .filter(|(_, line)| {
-                    line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
-                        .any(|word| word == "unsafe")
-                })
+                .filter(|(_, line)| words(line).any(|word| word == "unsafe"))
                 .map(|(i, _)| (rel.as_str(), i + 1))
                 .collect::<Vec<_>>()
         })
@@ -319,4 +330,60 @@ fn unsafe_is_fenced_to_the_sha256_kernel_dispatch() {
             assert!(code.contains("#![forbid(unsafe_code)]"), "{rel}");
         }
     }
+}
+
+#[test]
+fn every_pub_fn_is_used_somewhere() {
+    use std::collections::{BTreeMap, BTreeSet};
+
+    let corpus: Vec<(String, String)> = ["crates", "tests", "examples", "perfbench/src"]
+        .iter()
+        .flat_map(|dir| rust_sources(dir))
+        .filter(|(rel, _)| !rel.starts_with("crates/dlt-lint/tests/fixtures/"))
+        .collect();
+
+    // `pub fn` definitions in code (comments and strings masked), as
+    // name -> the (file, line) pairs that define it.
+    let mut defs: BTreeMap<String, BTreeSet<(&str, usize)>> = BTreeMap::new();
+    for (rel, source) in &corpus {
+        let parts: Vec<&str> = rel.split('/').collect();
+        if !(parts.len() > 3 && parts[0] == "crates" && parts[2] == "src") {
+            continue;
+        }
+        let code = dlt_lint::mask::mask(source).code;
+        for (i, line) in code.lines().enumerate() {
+            let ws: Vec<&str> = words(line).collect();
+            for w in ws.windows(3) {
+                if w[0] == "pub" && w[1] == "fn" {
+                    defs.entry(w[2].to_string())
+                        .or_default()
+                        .insert((rel.as_str(), i + 1));
+                }
+            }
+        }
+    }
+
+    // A name is used when it appears on any line, docs and tests
+    // included, other than one of its own definition lines.
+    let mut used = BTreeSet::new();
+    for (rel, source) in &corpus {
+        for (i, line) in source.lines().enumerate() {
+            for w in words(line) {
+                if defs
+                    .get(w)
+                    .is_some_and(|sites| !sites.contains(&(rel.as_str(), i + 1)))
+                {
+                    used.insert(w);
+                }
+            }
+        }
+    }
+    let unused: Vec<&String> = defs
+        .keys()
+        .filter(|name| !used.contains(name.as_str()))
+        .collect();
+    assert!(
+        unused.is_empty(),
+        "public functions nothing mentions: {unused:?}"
+    );
 }

@@ -198,11 +198,6 @@ impl ChannelNetwork {
         ChannelNetwork::default()
     }
 
-    /// Number of channels ever opened.
-    pub fn channel_count(&self) -> usize {
-        self.channels.len()
-    }
-
     /// A channel by id.
     pub fn channel(&self, id: ChannelId) -> Option<&Channel> {
         self.channels.get(&id)

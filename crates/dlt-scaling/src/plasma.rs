@@ -151,11 +151,6 @@ impl PlasmaChain {
         self.balances.get(account).copied().unwrap_or(0)
     }
 
-    /// Child blocks committed so far.
-    pub fn committed_blocks(&self) -> usize {
-        self.commitments.len()
-    }
-
     /// Deposits from the root chain (one root-chain transaction).
     pub fn deposit(&mut self, account: Address, amount: u64) -> Result<(), PlasmaError> {
         if self.halted {

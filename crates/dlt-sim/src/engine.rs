@@ -3,8 +3,9 @@
 //! A [`Simulation`] owns a set of nodes implementing [`SimNode`] and a
 //! time-ordered event queue. Nodes react to message deliveries and
 //! timers through a [`Context`], which lets them send messages (subject
-//! to the [`Network`] latency and fault
-//! model), broadcast to their peers, set timers, and record metrics.
+//! to the [`Network`] topology and latency, and to any installed fault
+//! [`Interceptor`]), broadcast to their peers, set timers, and record
+//! metrics.
 //!
 //! Execution is deterministic: events are ordered by `(time, sequence
 //! number)`, and all randomness comes from the simulation's seeded RNG.
@@ -253,10 +254,11 @@ impl<'a, M> Context<'a, M> {
         self.core.mark(label, value);
     }
 
-    /// Sends `msg` to `to`, subject to the network's latency/faults.
-    /// Messages to unreachable nodes (partitioned, not a peer, self)
-    /// are silently dropped, as on a real network. Accepts either an
-    /// owned `M` or an already-shared [`Payload<M>`].
+    /// Sends `msg` to `to`, subject to the network's latency and the
+    /// installed fault interceptor. Messages to unreachable nodes (not
+    /// a peer, self, across a partition) are silently dropped, as on a
+    /// real network. Accepts either an owned `M` or an already-shared
+    /// [`Payload<M>`].
     pub fn send(&mut self, to: NodeId, msg: impl Into<Payload<M>>) {
         let from = self.node;
         self.core.send_from(from, to, msg.into());
@@ -299,11 +301,6 @@ impl<M, N: SimNode<M>> Simulation<M, N> {
     /// Creates a simulation with a fault-free full-mesh network using
     /// the given latency model.
     pub fn new(seed: u64, latency: LatencyModel) -> Self {
-        Self::with_network(seed, Network::new(latency))
-    }
-
-    /// Creates a simulation over a fully configured network.
-    pub fn with_network(seed: u64, network: Network) -> Self {
         let mut metrics = Metrics::new();
         let net_messages = metrics.counter("net.messages");
         Simulation {
@@ -312,7 +309,7 @@ impl<M, N: SimNode<M>> Simulation<M, N> {
                 now: SimTime::ZERO,
                 seq: 0,
                 queue: BinaryHeap::new(),
-                network,
+                network: Network::new(latency),
                 rng: SimRng::new(seed),
                 metrics,
                 node_count: 0,
@@ -388,7 +385,8 @@ impl<M, N: SimNode<M>> Simulation<M, N> {
         &self.nodes
     }
 
-    /// The network, for reconfiguration mid-run (partitions, latency).
+    /// The network, to install an explicit topology. Faults (loss,
+    /// duplication, partitions) go through [`Simulation::set_interceptor`].
     pub fn network_mut(&mut self) -> &mut Network {
         &mut self.core.network
     }
@@ -557,6 +555,7 @@ impl<M, N: SimNode<M>> Simulation<M, N> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultInterceptor;
     use crate::trace::RecordingTracer;
 
     #[derive(Debug, Clone, PartialEq)]
@@ -745,42 +744,14 @@ mod tests {
     }
 
     #[test]
-    fn partition_blocks_delivery_until_heal() {
-        let mut sim = Simulation::new(7, fixed(10));
-        let a = sim.add_node(Recorder::default());
-        let b = sim.add_node(Recorder::default());
-        sim.network_mut().partition(2, &[&[a], &[b]]);
-        sim.send_external(a, b, Msg::Ping(1));
-        sim.run_until_idle(SimTime::from_secs(1));
-        assert!(sim.node(b).received.is_empty());
-        sim.network_mut().heal();
-        sim.send_external(a, b, Msg::Ping(2));
-        sim.run_until_idle(SimTime::from_secs(2));
-        assert_eq!(sim.node(b).received.len(), 1);
-    }
-
-    #[test]
     fn deliver_at_bypasses_network_faults() {
         let mut sim = Simulation::new(8, fixed(10));
         let a = sim.add_node(Recorder::default());
         let b = sim.add_node(Recorder::default());
-        sim.network_mut().set_drop_probability(1.0);
+        sim.set_interceptor(FaultInterceptor::new(8).drop_messages(1.0));
         sim.deliver_at(SimTime::from_millis(5), a, b, Msg::Ping(1));
         sim.run_until_idle(SimTime::from_secs(1));
         assert_eq!(sim.node(b).received.len(), 1);
-    }
-
-    #[test]
-    fn dropped_messages_never_arrive() {
-        let mut sim = Simulation::new(9, fixed(10));
-        let a = sim.add_node(Recorder::default());
-        let b = sim.add_node(Recorder::default());
-        sim.network_mut().set_drop_probability(1.0);
-        for i in 0..10 {
-            sim.send_external(a, b, Msg::Ping(i));
-        }
-        sim.run_until_idle(SimTime::from_secs(1));
-        assert!(sim.node(b).received.is_empty());
     }
 
     #[test]
@@ -850,7 +821,7 @@ mod tests {
         let b = sim.add_node(Recorder::default());
         sim.send_external(a, b, Msg::Ping(1));
         sim.set_timer_for(b, SimTime::from_millis(3), 77);
-        sim.network_mut().set_drop_probability(1.0);
+        sim.set_interceptor(FaultInterceptor::new(13).drop_messages(1.0));
         sim.send_external(a, b, Msg::Ping(2));
         sim.run_until_idle(SimTime::from_secs(1));
 
@@ -871,7 +842,7 @@ mod tests {
             .filter(|e| matches!(e, TraceEvent::Dropped { .. }))
             .count();
         // One delivery and one timer were scheduled and dispatched;
-        // the second send was dropped by the lossy network. Each of
+        // the second send was dropped by the fault interceptor. Each of
         // the two send attempts also emitted a Sent event.
         let sent: Vec<u32> = events
             .iter()
@@ -906,7 +877,6 @@ mod tests {
 
     #[test]
     fn interceptor_partition_heals_after_window() {
-        use crate::fault::FaultInterceptor;
         let mut sim = Simulation::new(21, fixed(10));
         let a = sim.add_node(Recorder::default());
         let b = sim.add_node(Recorder::default());
@@ -926,7 +896,6 @@ mod tests {
 
     #[test]
     fn interceptor_drop_still_counts_as_dropped() {
-        use crate::fault::FaultInterceptor;
         let tracer = RecordingTracer::new();
         let log = tracer.log();
         let mut sim = Simulation::new(22, fixed(10));
@@ -991,14 +960,17 @@ mod tests {
             }
         }
         // Every send `broadcaster` makes, as (to, deliveries).
-        fn sends(configure: impl FnOnce(&mut Network), broadcaster: NodeId) -> Vec<(usize, u32)> {
+        fn sends(
+            configure: impl FnOnce(&mut Simulation<Msg, Broadcaster>),
+            broadcaster: NodeId,
+        ) -> Vec<(usize, u32)> {
             let tracer = RecordingTracer::new();
             let log = tracer.log();
             let mut sim = Simulation::new(24, fixed(10));
             for _ in 0..4 {
                 sim.add_node(Broadcaster);
             }
-            configure(sim.network_mut());
+            configure(&mut sim);
             sim.set_tracer(tracer);
             sim.deliver_at(SimTime::ZERO, broadcaster, broadcaster, Msg::Ping(0));
             sim.step();
@@ -1015,16 +987,19 @@ mod tests {
                 })
                 .collect()
         }
-        let split = |n: &mut Network| {
-            n.partition(4, &[&[NodeId(0), NodeId(1)], &[NodeId(2), NodeId(3)]]);
+        let split = |sim: &mut Simulation<Msg, Broadcaster>| {
+            sim.set_interceptor(
+                FaultInterceptor::new(24)
+                    .partition(4, &[&[NodeId(0), NodeId(1)], &[NodeId(2), NodeId(3)]]),
+            );
         };
         // Full mesh: every other node in id order.
         assert_eq!(sends(|_| {}, NodeId(2)), vec![(0, 1), (1, 1), (3, 1)]);
         // A partition still addresses every peer; cross-group sends drop.
         assert_eq!(sends(split, NodeId(2)), vec![(0, 0), (1, 0), (3, 1)]);
         // An explicit topology: adjacency-list order, not id order.
-        let star = |n: &mut Network| {
-            n.set_topology(vec![
+        let star = |sim: &mut Simulation<Msg, Broadcaster>| {
+            sim.network_mut().set_topology(vec![
                 vec![NodeId(3), NodeId(1), NodeId(2)],
                 vec![],
                 vec![],
@@ -1035,9 +1010,9 @@ mod tests {
         assert_eq!(sends(star, NodeId(1)), vec![]);
         assert_eq!(
             sends(
-                |n| {
-                    star(n);
-                    split(n);
+                |sim| {
+                    star(sim);
+                    split(sim);
                 },
                 NodeId(0)
             ),

@@ -1,11 +1,13 @@
 //! Fault injection and deterministic trace replay.
 //!
-//! The engine consults an installed [`Interceptor`] on every send,
-//! *after* the [`Network`](crate::network::Network) model has decided
-//! the message's baseline fate. The interceptor sees the (possibly
-//! empty) list of delivery delays and may rewrite it: clear it (drop),
-//! stretch it (delay, Byzantine lag), extend it (duplicate) or
-//! scramble it (reorder). Two implementations ship here:
+//! This module is the one place faults enter a run. The engine consults
+//! an installed [`Interceptor`] on every send, *after* the
+//! [`Network`](crate::network::Network) has sampled the latency of the
+//! message's one delivery (none when the recipient is not a peer). The
+//! interceptor sees that list of delivery delays and may rewrite it:
+//! clear it (drop, partition), stretch it (delay, Byzantine lag),
+//! extend it (duplicate) or scramble it (reorder). Two implementations
+//! ship here:
 //!
 //! * [`FaultInterceptor`] — a composable, seed-driven policy stack.
 //!   Every probabilistic decision draws from its own
@@ -23,8 +25,6 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
-use dlt_testkit::json::Json;
-
 use crate::network::NodeId;
 use crate::rng::SimRng;
 use crate::time::SimTime;
@@ -32,9 +32,9 @@ use crate::trace::{EventKind, TraceEvent, TraceLog};
 
 /// Rewrites the delivery schedule of one send.
 ///
-/// Called by the engine once per send attempt, after the network model
-/// sampled the baseline `deliveries` (relative delays; empty = the
-/// network already dropped it). Implementations mutate the list in
+/// Called by the engine once per send attempt, after the network
+/// sampled the baseline `deliveries` (relative delays; empty when the
+/// recipient is not a peer). Implementations mutate the list in
 /// place; whatever remains is scheduled.
 pub trait Interceptor {
     /// Inspects and possibly rewrites one send's delivery delays.
@@ -55,9 +55,8 @@ enum FaultAction {
     /// each delivery uniformly in `[0, window)` — adjacent sends on the
     /// same link then overtake each other.
     Reorder { p: f64, window: SimTime },
-    /// Partition group per node (same encoding as
-    /// [`Network::partition`](crate::network::Network::partition));
-    /// cross-group sends are dropped.
+    /// Partition group per node, built by
+    /// [`FaultInterceptor::partition`]; cross-group sends are dropped.
     Partition { groups: Vec<usize> },
     /// Byzantine scheduling: sends *to* any victim arrive `by` later.
     /// `victims` is sorted for binary search.
@@ -161,12 +160,12 @@ impl FaultInterceptor {
         self.push(FaultAction::Reorder { p, window })
     }
 
-    /// Splits the network into disjoint partitions: cross-group sends
-    /// are dropped. Same group encoding as
-    /// [`Network::partition`](crate::network::Network::partition) —
-    /// nodes absent from every listed part share an implicit spare
-    /// group. Combine with [`FaultInterceptor::during`] for a
-    /// partition that heals at a chosen time.
+    /// Splits the first `node_count` nodes into disjoint partitions:
+    /// cross-group sends are dropped. Nodes absent from every listed
+    /// part share an implicit spare group, and nodes at or beyond
+    /// `node_count` are isolated. Combine with
+    /// [`FaultInterceptor::during`] for a partition that heals at a
+    /// chosen time.
     pub fn partition(self, node_count: usize, parts: &[&[NodeId]]) -> Self {
         let mut groups = vec![usize::MAX; node_count];
         for (g, part) in parts.iter().enumerate() {
@@ -209,11 +208,6 @@ impl FaultInterceptor {
             .expect("during() must follow a fault rule");
         rule.window = Some((start, end));
         self
-    }
-
-    /// Number of installed rules.
-    pub fn rule_count(&self) -> usize {
-        self.rules.len()
     }
 }
 
@@ -368,58 +362,50 @@ impl ReplayScript {
 
     /// Parses a script from the JSON rendering of a [`TraceLog`]
     /// (`TraceLog::to_json().to_string()`) — the format committed
-    /// fixtures use.
+    /// fixtures use. The send and deliver-schedule events are decoded
+    /// back into [`TraceEvent`]s and grouped by
+    /// [`ReplayScript::from_events`].
     pub fn parse(text: &str) -> Result<ReplayScript, String> {
-        fn num(event: &Json, key: &str, index: usize) -> Result<u64, String> {
-            event
-                .get(key)
-                .and_then(|v| v.as_f64())
-                .map(|v| v as u64)
-                .ok_or_else(|| format!("trace event #{index}: missing numeric \"{key}\""))
-        }
-
         let doc = dlt_testkit::json::parse(text).map_err(|e| e.to_string())?;
         let events = doc
             .get("events")
             .and_then(|v| v.as_array())
             .ok_or("trace document has no \"events\" array")?;
-        let mut sends: Vec<SendRecord> = Vec::new();
-        let mut open: Option<(usize, u32)> = None;
+        let mut trace = Vec::new();
         for (i, event) in events.iter().enumerate() {
+            let num = |key: &str| {
+                event
+                    .get(key)
+                    .and_then(|v| v.as_f64())
+                    .map(|v| v as u64)
+                    .ok_or_else(|| format!("trace event #{i}: missing numeric \"{key}\""))
+            };
+            let node = |key: &str| num(key).map(|v| NodeId(v as usize));
             let ty = event
                 .get("type")
                 .and_then(|v| v.as_str())
                 .ok_or_else(|| format!("trace event #{i}: missing \"type\""))?;
             match ty {
-                "send" => {
-                    let n = num(event, "n", i)? as u32;
-                    sends.push(SendRecord {
-                        from: NodeId(num(event, "from", i)? as usize),
-                        to: NodeId(num(event, "to", i)? as usize),
-                        deliveries: Vec::new(),
+                "send" => trace.push(TraceEvent::Sent {
+                    at: SimTime::from_micros(num("at_us")?),
+                    from: node("from")?,
+                    to: node("to")?,
+                    deliveries: num("n")? as u32,
+                }),
+                "schedule" if event.get("kind").and_then(|v| v.as_str()) == Some("deliver") => {
+                    trace.push(TraceEvent::Schedule {
+                        at: SimTime::from_micros(num("at_us")?),
+                        seq: num("seq")?,
+                        kind: EventKind::Deliver {
+                            from: node("from")?,
+                            to: node("to")?,
+                        },
                     });
-                    open = (n > 0).then_some((sends.len() - 1, n));
-                }
-                "schedule" => {
-                    if event.get("kind").and_then(|v| v.as_str()) != Some("deliver") {
-                        continue;
-                    }
-                    if let Some((idx, remaining)) = open {
-                        let from = NodeId(num(event, "from", i)? as usize);
-                        let to = NodeId(num(event, "to", i)? as usize);
-                        let record = &mut sends[idx];
-                        if record.from == from && record.to == to {
-                            record
-                                .deliveries
-                                .push(SimTime::from_micros(num(event, "at_us", i)?));
-                            open = (remaining > 1).then_some((idx, remaining - 1));
-                        }
-                    }
                 }
                 _ => {}
             }
         }
-        Ok(ReplayScript { sends })
+        Ok(Self::from_events(&trace))
     }
 
     /// The recorded sends, in order.
@@ -516,10 +502,17 @@ mod tests {
 
     #[test]
     fn drop_rule_clears_deliveries() {
-        let mut f = FaultInterceptor::new(1).drop_messages(1.0);
-        let mut d = one_delivery();
-        f.intercept(SimTime::ZERO, NodeId(0), NodeId(1), &mut d);
-        assert!(d.is_empty());
+        for (p, dropped) in [(1.0, 10_000..10_001), (0.3, 2_500..3_500)] {
+            let mut f = FaultInterceptor::new(1).drop_messages(p);
+            let n = (0..10_000)
+                .filter(|_| {
+                    let mut d = one_delivery();
+                    f.intercept(SimTime::ZERO, NodeId(0), NodeId(1), &mut d);
+                    d.is_empty()
+                })
+                .count();
+            assert!(dropped.contains(&n), "p = {p}: dropped {n}");
+        }
     }
 
     #[test]

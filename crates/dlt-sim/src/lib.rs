@@ -13,7 +13,7 @@
 //!   latencies).
 //! * [`latency`] — pluggable link-latency models.
 //! * [`network`] — the message fabric: full-mesh or explicit topology,
-//!   loss/duplication injection, partitions.
+//!   and the latency of each delivery.
 //! * [`engine`] — the event loop: nodes implement
 //!   [`SimNode`], exchange messages through a
 //!   [`Context`], and set timers.
@@ -24,9 +24,9 @@
 //!   send/schedule/dispatch/drop point, with a recording implementation
 //!   for tests and the `DLT_TRACE` experiment mode.
 //! * [`fault`] — the [`fault::Interceptor`] hook the engine consults on
-//!   every send: seed-driven fault policies (drop, delay, duplicate,
-//!   reorder, partition, Byzantine lag) and deterministic replay of a
-//!   recorded [`trace::TraceLog`].
+//!   every send, and the one way faults enter a run: seed-driven fault
+//!   policies (drop, delay, duplicate, reorder, partition, Byzantine
+//!   lag) and deterministic replay of a recorded [`trace::TraceLog`].
 //! * [`shard`] — the parallel shard executor: K independent shard
 //!   simulations on worker threads between epoch barriers, with a
 //!   deterministic cross-shard exchange at each barrier. The only

@@ -313,16 +313,6 @@ impl Metrics {
             s.nan_dropped += theirs.nan_dropped;
         }
     }
-
-    /// All counter names in sorted order.
-    pub fn counter_names(&self) -> impl Iterator<Item = &str> {
-        self.counter_ids.keys().map(String::as_str)
-    }
-
-    /// All series names in sorted order.
-    pub fn series_names(&self) -> impl Iterator<Item = &str> {
-        self.series_ids.keys().map(String::as_str)
-    }
 }
 
 impl fmt::Display for Metrics {

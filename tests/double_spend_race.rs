@@ -12,6 +12,7 @@ use dlt_blockchain::node::{MinerConfig, MinerNode, NetMsg};
 use dlt_blockchain::utxo::UtxoTx;
 use dlt_crypto::keys::Address;
 use dlt_sim::engine::Simulation;
+use dlt_sim::fault::FaultInterceptor;
 use dlt_sim::latency::LatencyModel;
 use dlt_sim::network::NodeId;
 use dlt_sim::time::SimTime;
@@ -54,22 +55,19 @@ fn attacker_wins(seed: u64, attacker_share: f64, secret_secs: u64) -> bool {
     ));
 
     // The attacker mines privately from the start.
-    let everyone: Vec<NodeId> = (0..honest_nodes).map(NodeId).collect();
-    let honest_ids: Vec<NodeId> = everyone.clone();
-    sim.network_mut()
-        .partition(honest_nodes + 1, &[&honest_ids, &[attacker]]);
+    let honest_ids: Vec<NodeId> = (0..honest_nodes).map(NodeId).collect();
+    sim.set_interceptor(
+        FaultInterceptor::new(seed)
+            .partition(honest_nodes + 1, &[&honest_ids, &[attacker]])
+            .during(SimTime::ZERO, SimTime::from_secs(secret_secs)),
+    );
     sim.run_until(SimTime::from_secs(secret_secs));
 
-    // Snapshot the honest tip (the "paid" chain), then heal: the
-    // attacker's branch floods the network. To let the branches merge,
-    // each side re-announces its tip; we emulate by healing and letting
-    // mining continue briefly (miners broadcast new blocks that carry
-    // their branch via orphan-pool requests... here: direct flood of
-    // the next mined block reveals the longer branch).
+    // Snapshot the honest tip (the "paid" chain). The partition healed
+    // at `secret_secs`; the attacker now releases its branch.
     let honest_tip_before = sim.node(NodeId(0)).chain().tip();
     let honest_height = sim.node(NodeId(0)).chain().tip_height();
     let attacker_height = sim.node(attacker).chain().tip_height();
-    sim.network_mut().heal();
 
     // Replay the attacker's full chain to the honest nodes (block
     // release — what a real attacker broadcasts).
