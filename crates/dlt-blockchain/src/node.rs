@@ -381,7 +381,10 @@ impl<T: LedgerTx> SimNode<NetMsg<T>> for MinerNode<T> {
                 if !self.seen.insert(id) {
                     return;
                 }
-                if self.mempool.insert(tx.clone()) {
+                // A transfer the active chain already holds is relayed
+                // but not pooled, so it cannot be mined a second time.
+                // One a reorg reverts comes back through `reinstate`.
+                if self.chain.tx_confirmations(&id).is_none() && self.mempool.insert(tx.clone()) {
                     let m = self.handles();
                     ctx.metrics().inc(m.txs_accepted);
                 }
@@ -522,6 +525,43 @@ mod tests {
         for i in 0..3 {
             assert!(!sim.node(NodeId(i)).mempool().contains(&tx_id));
         }
+    }
+
+    #[test]
+    fn gossip_after_the_block_that_holds_it_is_not_mined_again() {
+        // The block holding the tx reaches the miner before the tx's own
+        // gossip: the tx is already confirmed, so it must stay out of
+        // the mempool and appear once on the active chain.
+        let mut sim = build_network(8, 1, 10, 1.0);
+        let tx = TestTx::new(42);
+        let tx_id = tx.id();
+        let block = Block::new(header(genesis().id(), 1), vec![tx.clone()]);
+        sim.deliver_at(
+            SimTime::from_millis(1),
+            NodeId(0),
+            NodeId(0),
+            NetMsg::block(block),
+        );
+        sim.deliver_at(
+            SimTime::from_millis(2),
+            NodeId(0),
+            NodeId(0),
+            NetMsg::tx(tx),
+        );
+        sim.run_until(SimTime::from_millis(3));
+        let node = sim.node(NodeId(0));
+        assert_eq!(node.chain().tx_confirmations(&tx_id), Some(1));
+        assert!(!node.mempool().contains(&tx_id), "confirmed tx pooled");
+
+        sim.run_until(SimTime::from_secs(30));
+        let node = sim.node(NodeId(0));
+        assert!(node.chain().tip_height() > 5, "the miner kept mining");
+        let inclusions = node
+            .chain()
+            .iter_active()
+            .filter(|b| b.txs.iter().any(|t| t.id() == tx_id))
+            .count();
+        assert_eq!(inclusions, 1, "tx mined again");
     }
 
     #[test]

@@ -5,27 +5,33 @@
 //! the FIPS 180-4 / NIST test vectors in the unit tests.
 //!
 //! The compression function has two kernels behind one private
-//! `compress`, chosen at run time:
+//! `compress`, chosen at run time. `compress` is generic over a lane
+//! count `N`: it runs `N` independent states, each over its own
+//! blocks.
 //!
 //! * On x86-64 CPUs with the SHA extensions (`sha`, with SSSE3 and
 //!   SSE4.1), a kernel built on the `sha256rnds2`/`sha256msg1`/
 //!   `sha256msg2` instructions from `std::arch`. It is a safe
 //!   `#[target_feature]` function: words enter and leave its vectors by
-//!   value, with no pointer loads.
-//! * Everywhere else, the portable kernel in plain Rust. Tests also use
-//!   it as the reference the SHA-NI kernel must match.
+//!   value, with no pointer loads. With two lanes it interleaves their
+//!   rounds, so one lane's `sha256rnds2` latency hides behind the
+//!   other's.
+//! * Everywhere else, the portable kernel in plain Rust, which
+//!   compresses each lane in turn. Tests also use it as the reference
+//!   the SHA-NI kernel must match.
 //!
 //! `is_x86_feature_detected!` picks the kernel on each call; std caches
 //! the CPU query. Calling a `#[target_feature]` function is `unsafe`
 //! only because the CPU must have those features, so that call, right
-//! after the detection, is the one `unsafe` block in the workspace. Both
-//! kernels compute the same function, so every digest is the same on
-//! every host.
+//! after the detection, is the one `unsafe` block in the workspace, for
+//! every lane count. Both kernels compute the same function, so every
+//! digest is the same on every host.
 //!
-//! Messages of a fixed shape that fit one block (the WOTS chain step
-//! and secret start) skip the streaming buffer: the caller fills a
-//! pre-padded block and one crate-private call compresses it through
-//! the same `compress`.
+//! The streaming hasher uses one lane. Messages of a fixed shape that
+//! fit one block (the WOTS chain step and secret start) skip the
+//! streaming buffer: the caller fills pre-padded blocks and one
+//! crate-private call, `sha256_padded_blocks`, compresses one or two
+//! of them through the same `compress`, one lane each.
 //!
 //! Blockchains conventionally use the *double* hash
 //! `SHA-256(SHA-256(x))` for block and transaction identifiers; the DAG
@@ -106,7 +112,7 @@ impl Sha256 {
             self.buf_len += take;
             data = &data[take..];
             if self.buf_len == 64 {
-                compress(&mut self.state, &self.buf);
+                compress(std::array::from_mut(&mut self.state), [&self.buf]);
                 self.len += 64;
                 self.buf_len = 0;
             }
@@ -114,7 +120,7 @@ impl Sha256 {
         // Process whole blocks directly from the input.
         let (blocks, tail) = data.split_at(data.len() - data.len() % 64);
         if !blocks.is_empty() {
-            compress(&mut self.state, blocks);
+            compress(std::array::from_mut(&mut self.state), [blocks]);
             self.len += blocks.len() as u64;
         }
         // Buffer the tail.
@@ -135,7 +141,7 @@ impl Sha256 {
         pad[self.buf_len] = 0x80;
         let end = if self.buf_len < 56 { 64 } else { 128 };
         pad[end - 8..end].copy_from_slice(&total_bits.to_be_bytes());
-        compress(&mut self.state, &pad[..end]);
+        compress(std::array::from_mut(&mut self.state), [&pad[..end]]);
         digest_of(&self.state)
     }
 }
@@ -151,7 +157,7 @@ fn digest_of(state: &[u32; 8]) -> Digest {
 
 /// The one padded block of a `len`-byte message (`len` ≤ 55), message
 /// bytes still zero: the caller writes them into `..len`, then hashes
-/// the block with [`sha256_padded_block`].
+/// the block with [`sha256_padded_blocks`].
 pub(crate) fn padded_block(len: usize) -> [u8; 64] {
     debug_assert!(len <= 55, "{len} bytes do not fit one padded block");
     let mut block = [0u8; 64];
@@ -160,20 +166,28 @@ pub(crate) fn padded_block(len: usize) -> [u8; 64] {
     block
 }
 
-/// SHA-256 of a message that fits one block, given that block already
-/// padded (see [`padded_block`]): one compression from `H0` on the same
-/// kernels as [`Sha256`], with no buffering and no padding pass.
-pub(crate) fn sha256_padded_block(block: &[u8; 64]) -> Digest {
-    let mut state = H0;
-    compress(&mut state, block);
-    digest_of(&state)
+/// SHA-256 of each of `N` messages that fit one block, given those
+/// blocks already padded (see [`padded_block`]): one compression from
+/// `H0` per message on the same kernels as [`Sha256`], with no
+/// buffering and no padding pass. The `N` compressions run as `N` lanes
+/// of one kernel call.
+pub(crate) fn sha256_padded_blocks<const N: usize>(blocks: &[[u8; 64]; N]) -> [Digest; N] {
+    let mut states = [H0; N];
+    compress(&mut states, blocks.each_ref().map(|block| block.as_slice()));
+    states.map(|state| digest_of(&state))
 }
 
-/// Runs the compression function over each 64-byte block of `blocks`
-/// (whose length is a multiple of 64), on the SHA-NI kernel when the CPU
-/// has the SHA extensions and on the portable kernel otherwise.
-fn compress(state: &mut [u32; 8], blocks: &[u8]) {
-    debug_assert_eq!(blocks.len() % 64, 0, "whole blocks only");
+/// Runs the compression function over each 64-byte block of
+/// `blocks[l]` into `states[l]`, for each of the `N` lanes (every
+/// lane's length the same multiple of 64), on the SHA-NI kernel when
+/// the CPU has the SHA extensions and on the portable kernel otherwise.
+fn compress<const N: usize>(states: &mut [[u32; 8]; N], blocks: [&[u8]; N]) {
+    debug_assert!(
+        blocks
+            .iter()
+            .all(|b| b.len() % 64 == 0 && b.len() == blocks[0].len()),
+        "whole blocks only, the same count in every lane"
+    );
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("sha")
         && std::arch::is_x86_feature_detected!("ssse3")
@@ -185,11 +199,13 @@ fn compress(state: &mut [u32; 8], blocks: &[u8]) {
         // of the x86-64 baseline.
         #[allow(unsafe_code)]
         unsafe {
-            shani::compress_shani(state, blocks)
+            shani::compress_shani(states, blocks)
         };
         return;
     }
-    compress_portable(state, blocks);
+    for (state, blocks) in states.iter_mut().zip(blocks) {
+        compress_portable(state, blocks);
+    }
 }
 
 /// The portable compression kernel: FIPS 180-4 §6.2.2, one block at a
@@ -250,7 +266,8 @@ mod shani {
     use super::K;
     use std::arch::x86_64::{
         __m128i, _mm_add_epi32, _mm_alignr_epi8, _mm_extract_epi32, _mm_set_epi32,
-        _mm_sha256msg1_epu32, _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32, _mm_shuffle_epi32,
+        _mm_setzero_si128, _mm_sha256msg1_epu32, _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32,
+        _mm_shuffle_epi32,
     };
 
     /// Four consecutive 32-bit words as one vector, first word in lane 0.
@@ -259,60 +276,87 @@ mod shani {
         _mm_set_epi32(w[3] as i32, w[2] as i32, w[1] as i32, w[0] as i32)
     }
 
-    /// The same function as [`super::compress_portable`]. `sha256rnds2`
-    /// runs two rounds on a state split as (A, B, E, F) and (C, D, G, H);
-    /// `sha256msg1`/`sha256msg2` extend the message schedule four words
-    /// at a time.
+    /// The same function as [`super::compress_portable`], on each of
+    /// `N` lanes. `sha256rnds2` runs two rounds on a state split as
+    /// (A, B, E, F) and (C, D, G, H); `sha256msg1`/`sha256msg2` extend
+    /// the message schedule four words at a time. Each group of four
+    /// rounds is issued for every lane before the next group, so the
+    /// lanes' dependency chains overlap in the pipeline.
     #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
-    pub(super) fn compress_shani(state: &mut [u32; 8], blocks: &[u8]) {
-        let [a, b, c, d, e, f, g, h] = state.map(|x| x as i32);
-        let mut abef = _mm_set_epi32(a, b, e, f);
-        let mut cdgh = _mm_set_epi32(c, d, g, h);
+    pub(super) fn compress_shani<const N: usize>(states: &mut [[u32; 8]; N], blocks: [&[u8]; N]) {
+        let mut abef = [_mm_setzero_si128(); N];
+        let mut cdgh = [_mm_setzero_si128(); N];
+        for lane in 0..N {
+            let [a, b, c, d, e, f, g, h] = states[lane].map(|x| x as i32);
+            abef[lane] = _mm_set_epi32(a, b, e, f);
+            cdgh[lane] = _mm_set_epi32(c, d, g, h);
+        }
 
-        for block in blocks.chunks_exact(64) {
-            let mut w = [words([0; 4]); 4];
-            for (group, bytes) in w.iter_mut().zip(block.chunks_exact(16)) {
-                let mut be = [0u32; 4];
-                for (word, chunk) in be.iter_mut().zip(bytes.chunks_exact(4)) {
-                    *word = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        for offset in (0..blocks[0].len()).step_by(64) {
+            // Each lane's W[t..t + 16] as four vectors, W[t] first.
+            let mut w = [[_mm_setzero_si128(); 4]; N];
+            for lane in 0..N {
+                let block = &blocks[lane][offset..offset + 64];
+                for (group, bytes) in w[lane].iter_mut().zip(block.chunks_exact(16)) {
+                    let mut be = [0u32; 4];
+                    for (word, chunk) in be.iter_mut().zip(bytes.chunks_exact(4)) {
+                        *word = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+                    }
+                    *group = words(be);
                 }
-                *group = words(be);
             }
             let (abef_in, cdgh_in) = (abef, cdgh);
 
             for (i, k) in K.chunks_exact(4).enumerate() {
-                if i >= 4 {
-                    // W[t] for the next four t from the sixteen before:
-                    // msg1 adds σ0(W[t-15]) to W[t-16], the alignr picks
-                    // W[t-7], and msg2 adds σ1(W[t-2]).
-                    let (m0, m1, m2, m3) =
-                        (w[i % 4], w[(i + 1) % 4], w[(i + 2) % 4], w[(i + 3) % 4]);
-                    let t =
-                        _mm_add_epi32(_mm_sha256msg1_epu32(m0, m1), _mm_alignr_epi8::<4>(m3, m2));
-                    w[i % 4] = _mm_sha256msg2_epu32(t, m3);
+                let k = words([k[0], k[1], k[2], k[3]]);
+                for lane in 0..N {
+                    let [w0, w1, w2, w3] = w[lane];
+                    let wk = _mm_add_epi32(w0, k);
+                    // Each double-round returns the new (A, B, E, F); the
+                    // (A, B, E, F) it was given is the new (C, D, G, H).
+                    cdgh[lane] = _mm_sha256rnds2_epu32(cdgh[lane], abef[lane], wk);
+                    abef[lane] = _mm_sha256rnds2_epu32(
+                        abef[lane],
+                        cdgh[lane],
+                        _mm_shuffle_epi32::<0x0E>(wk),
+                    );
+                    // W[t + 16..t + 20] from the sixteen before: msg1 adds
+                    // σ0(W[t+1]) to W[t], the alignr picks W[t+9], and
+                    // msg2 adds σ1(W[t+14]). The last four groups need no
+                    // more words and only shift.
+                    let next = if i < 12 {
+                        let t = _mm_add_epi32(
+                            _mm_sha256msg1_epu32(w0, w1),
+                            _mm_alignr_epi8::<4>(w3, w2),
+                        );
+                        _mm_sha256msg2_epu32(t, w3)
+                    } else {
+                        w0
+                    };
+                    w[lane] = [w1, w2, w3, next];
                 }
-                let wk = _mm_add_epi32(w[i % 4], words([k[0], k[1], k[2], k[3]]));
-                // Each double-round returns the new (A, B, E, F); the
-                // (A, B, E, F) it was given is the new (C, D, G, H).
-                cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
-                abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32::<0x0E>(wk));
             }
 
-            abef = _mm_add_epi32(abef, abef_in);
-            cdgh = _mm_add_epi32(cdgh, cdgh_in);
+            for lane in 0..N {
+                abef[lane] = _mm_add_epi32(abef[lane], abef_in[lane]);
+                cdgh[lane] = _mm_add_epi32(cdgh[lane], cdgh_in[lane]);
+            }
         }
 
-        *state = [
-            _mm_extract_epi32::<3>(abef),
-            _mm_extract_epi32::<2>(abef),
-            _mm_extract_epi32::<3>(cdgh),
-            _mm_extract_epi32::<2>(cdgh),
-            _mm_extract_epi32::<1>(abef),
-            _mm_extract_epi32::<0>(abef),
-            _mm_extract_epi32::<1>(cdgh),
-            _mm_extract_epi32::<0>(cdgh),
-        ]
-        .map(|x| x as u32);
+        for lane in 0..N {
+            let (abef, cdgh) = (abef[lane], cdgh[lane]);
+            states[lane] = [
+                _mm_extract_epi32::<3>(abef),
+                _mm_extract_epi32::<2>(abef),
+                _mm_extract_epi32::<3>(cdgh),
+                _mm_extract_epi32::<2>(cdgh),
+                _mm_extract_epi32::<1>(abef),
+                _mm_extract_epi32::<0>(abef),
+                _mm_extract_epi32::<1>(cdgh),
+                _mm_extract_epi32::<0>(cdgh),
+            ]
+            .map(|x| x as u32);
+        }
     }
 }
 
@@ -408,9 +452,45 @@ mod tests {
             let data: Vec<u8> = (0..blocks * 64).map(|i| (i * 131 + blocks) as u8).collect();
             let mut portable = H0;
             compress_portable(&mut portable, &data);
-            let mut dispatched = H0;
-            compress(&mut dispatched, &data);
-            assert_eq!(dispatched, portable, "{blocks} blocks");
+            let mut dispatched = [H0];
+            compress(&mut dispatched, [&data]);
+            assert_eq!(dispatched, [portable], "{blocks} blocks");
+        }
+    }
+
+    dlt_testkit::prop! {
+        /// Two lanes through the dispatched kernel (interleaved on
+        /// SHA-NI hosts) against each lane's state and blocks run alone
+        /// on the portable kernel: random start states, one to three
+        /// random blocks per lane.
+        fn two_lanes_match_two_portable_compressions(g, cases = 128) {
+            let blocks = g.usize_in(1, 4);
+            let mut state = || std::array::from_fn::<u32, 8, _>(|_| g.any_u64() as u32);
+            let states = [state(), state()];
+            let data = [g.bytes_in(64 * blocks, 64 * blocks + 1), g.bytes_in(64 * blocks, 64 * blocks + 1)];
+            let mut lanes = states;
+            compress(&mut lanes, [&data[0], &data[1]]);
+            for lane in 0..2 {
+                let mut alone = states[lane];
+                compress_portable(&mut alone, &data[lane]);
+                assert_eq!(lanes[lane], alone, "lane {lane} of {blocks}-block lanes");
+            }
+        }
+    }
+
+    #[test]
+    fn padded_blocks_in_two_lanes_match_one_lane() {
+        let data: Vec<u8> = (0u8..110).map(|i| i.wrapping_mul(73) ^ 0xc3).collect();
+        let block = |bytes: &[u8]| {
+            let mut block = padded_block(bytes.len());
+            block[..bytes.len()].copy_from_slice(bytes);
+            block
+        };
+        for len in 0..=55 {
+            let pair = [block(&data[..len]), block(&data[55..55 + len])];
+            let [first] = sha256_padded_blocks(&[pair[0]]);
+            let [second] = sha256_padded_blocks(&[pair[1]]);
+            assert_eq!(sha256_padded_blocks(&pair), [first, second], "len {len}");
         }
     }
 
@@ -424,7 +504,7 @@ mod tests {
             let mut block = padded_block(len);
             block[..len].copy_from_slice(&data[..len]);
             let expect = portable_reference(&data[..len]);
-            assert_eq!(sha256_padded_block(&block), expect, "len {len}");
+            assert_eq!(sha256_padded_blocks(&[block]), [expect], "len {len}");
             assert_eq!(sha256(&data[..len]), expect, "streaming, len {len}");
         }
     }

@@ -12,10 +12,18 @@
 //!
 //! WOTS is the leaf scheme of the many-time [`mss`](crate::mss)
 //! signatures used by account chains.
+//!
+//! The 67 chains of a key are independent, so key generation, signing
+//! and verification hash them two at a time: secret starts in pairs,
+//! then one lane runner (`run_chains`) that keeps two chain jobs in two
+//! lanes of the SHA-256 kernel and hands a lane the next job as soon as
+//! its own ends, so sign and verify chains of different lengths still
+//! fill both lanes. Only the last job left runs alone. Every key and
+//! signature is the same as hashing the chains one by one.
 
 use crate::codec::{Decode, DecodeError, Encode};
 use crate::digest::Digest;
-use crate::sha256::{padded_block, sha256_padded_block, Sha256};
+use crate::sha256::{padded_block, sha256_padded_blocks, Sha256};
 
 /// Winternitz parameter: digits are base-16 (4 bits).
 pub const W: u32 = 16;
@@ -37,16 +45,47 @@ const STEP_POSITION: usize = STEP_INDEX + 2;
 const STEP_VALUE: usize = STEP_POSITION + 4;
 const STEP_LEN: usize = STEP_VALUE + 32;
 
-/// Derives the chain-`i` secret start value from a seed: SHA-256 of
-/// `DOM_SECRET ‖ seed ‖ chain` (45 bytes, one padded block).
-fn secret_start(seed: &[u8; 32], chain: u16) -> Digest {
+/// The padded block of the chain-`i` secret start: `DOM_SECRET ‖ seed ‖
+/// chain` (45 bytes).
+fn secret_block(seed: &[u8; 32], chain: u16) -> [u8; 64] {
     const SEED: usize = DOM_SECRET.len();
     const CHAIN: usize = SEED + 32;
     let mut block = padded_block(CHAIN + 2);
     block[..SEED].copy_from_slice(DOM_SECRET);
     block[SEED..CHAIN].copy_from_slice(seed);
     block[CHAIN..CHAIN + 2].copy_from_slice(&chain.to_be_bytes());
-    sha256_padded_block(&block)
+    block
+}
+
+/// Derives every chain's secret start value from a seed, two chains
+/// per kernel call: SHA-256 of the [`secret_block`] of each.
+fn secret_starts(seed: &[u8; 32]) -> [Digest; LEN] {
+    let mut starts = [Digest::ZERO; LEN];
+    for i in (0..LEN).step_by(2) {
+        let chain = i as u16;
+        if i + 1 < LEN {
+            let pair = [secret_block(seed, chain), secret_block(seed, chain + 1)];
+            starts[i..i + 2].copy_from_slice(&sha256_padded_blocks(&pair));
+        } else {
+            [starts[i]] = sha256_padded_blocks(&[secret_block(seed, chain)]);
+        }
+    }
+    starts
+}
+
+/// The padded chain-step block of chain `chain_index`, position and
+/// value still zero.
+fn step_block(chain_index: u16) -> [u8; 64] {
+    let mut block = padded_block(STEP_LEN);
+    block[..STEP_INDEX].copy_from_slice(DOM_CHAIN);
+    block[STEP_INDEX..STEP_POSITION].copy_from_slice(&chain_index.to_be_bytes());
+    block
+}
+
+/// Writes a step's position and input value into its block.
+fn set_step(block: &mut [u8; 64], position: u32, value: &Digest) {
+    block[STEP_POSITION..STEP_VALUE].copy_from_slice(&position.to_be_bytes());
+    block[STEP_VALUE..STEP_LEN].copy_from_slice(value.as_bytes());
 }
 
 /// Applies the chaining function from position `from` to position `to`.
@@ -56,15 +95,66 @@ fn secret_start(seed: &[u8; 32], chain: u16) -> Digest {
 /// block; each step rewrites only its position and value bytes.
 fn chain(mut value: Digest, chain_index: u16, from: u32, to: u32) -> Digest {
     debug_assert!(from <= to && to < W);
-    let mut block = padded_block(STEP_LEN);
-    block[..STEP_INDEX].copy_from_slice(DOM_CHAIN);
-    block[STEP_INDEX..STEP_POSITION].copy_from_slice(&chain_index.to_be_bytes());
+    let mut block = step_block(chain_index);
     for position in from..to {
-        block[STEP_POSITION..STEP_VALUE].copy_from_slice(&position.to_be_bytes());
-        block[STEP_VALUE..STEP_LEN].copy_from_slice(value.as_bytes());
-        value = sha256_padded_block(&block);
+        set_step(&mut block, position, &value);
+        [value] = sha256_padded_blocks(&[block]);
     }
     value
+}
+
+/// A chain job in a lane of [`run_chains`]: the job's chain index and
+/// the position its value has reached.
+#[derive(Clone, Copy)]
+struct Lane {
+    job: usize,
+    position: u32,
+}
+
+/// Runs job `(value, from, to)` of every chain `i` (the value at
+/// position `from`, advanced to position `to`) and returns each chain's
+/// value at `to`: the same as [`chain`] on each job, two steps per
+/// kernel call.
+///
+/// Two lanes each hold one job. After every paired step, a lane whose
+/// job reached `to` takes the next non-empty job, so both lanes stay
+/// busy until the jobs run out; the last job left finishes alone.
+fn run_chains(jobs: [(Digest, u32, u32); LEN]) -> [Digest; LEN] {
+    let mut values = jobs.map(|(value, _, _)| value);
+    let mut pending = (0..LEN).filter(|&i| jobs[i].1 < jobs[i].2);
+    let mut blocks = [[0u8; 64]; 2];
+    let mut lanes: [Option<Lane>; 2] = [None; 2];
+    loop {
+        for (lane, block) in lanes.iter_mut().zip(&mut blocks) {
+            if lane.is_none() {
+                if let Some(job) = pending.next() {
+                    *block = step_block(job as u16);
+                    *lane = Some(Lane {
+                        job,
+                        position: jobs[job].1,
+                    });
+                }
+            }
+        }
+        let [Some(a), Some(b)] = lanes else {
+            // The jobs ran out: at most one lane still holds one.
+            if let Some(Lane { job, position }) = lanes.into_iter().flatten().next() {
+                values[job] = chain(values[job], job as u16, position, jobs[job].2);
+            }
+            return values;
+        };
+        set_step(&mut blocks[0], a.position, &values[a.job]);
+        set_step(&mut blocks[1], b.position, &values[b.job]);
+        [values[a.job], values[b.job]] = sha256_padded_blocks(&blocks);
+        for lane in &mut lanes {
+            if let Some(Lane { job, position }) = lane {
+                *position += 1;
+                if *position == jobs[*job].2 {
+                    *lane = None;
+                }
+            }
+        }
+    }
 }
 
 /// Splits a digest into `LEN_1` base-16 digits plus `LEN_2` checksum
@@ -119,11 +209,7 @@ pub struct WotsKeypair {
 impl WotsKeypair {
     /// Derives a keypair deterministically from a seed.
     pub fn from_seed(seed: [u8; 32]) -> Self {
-        let mut ends = [Digest::ZERO; LEN];
-        for (i, end) in ends.iter_mut().enumerate() {
-            let start = secret_start(&seed, i as u16);
-            *end = chain(start, i as u16, 0, W - 1);
-        }
+        let ends = run_chains(secret_starts(&seed).map(|start| (start, 0, W - 1)));
         WotsKeypair {
             seed,
             public_digest: commit(&ends),
@@ -155,12 +241,13 @@ impl WotsKeypair {
 /// deriving its public key: the chains only run up to each digit.
 pub(crate) fn sign_from_seed(seed: &[u8; 32], msg: &Digest) -> WotsSignature {
     let digits = digits_with_checksum(msg);
-    let parts = digits
-        .iter()
-        .enumerate()
-        .map(|(i, &d)| chain(secret_start(seed, i as u16), i as u16, 0, u32::from(d)))
-        .collect();
-    WotsSignature { parts }
+    let starts = secret_starts(seed);
+    let parts = run_chains(std::array::from_fn(|i| {
+        (starts[i], 0, u32::from(digits[i]))
+    }));
+    WotsSignature {
+        parts: parts.to_vec(),
+    }
 }
 
 /// A WOTS signature: one intermediate chain value per digit (~2.1 KiB).
@@ -188,10 +275,9 @@ impl WotsSignature {
             return None;
         }
         let digits = digits_with_checksum(msg);
-        let mut ends = [Digest::ZERO; LEN];
-        for (i, &d) in digits.iter().enumerate() {
-            ends[i] = chain(self.parts[i], i as u16, u32::from(d), W - 1);
-        }
+        let ends = run_chains(std::array::from_fn(|i| {
+            (self.parts[i], u32::from(digits[i]), W - 1)
+        }));
         Some(commit(&ends))
     }
 
@@ -222,6 +308,7 @@ mod tests {
     use super::*;
     use crate::codec::decode_exact;
     use crate::sha256::sha256;
+    use dlt_testkit::rng::{RngCore, Xoshiro256StarStar};
 
     /// The chain step and the secret start as the streaming hasher
     /// computes them, field by field.
@@ -245,8 +332,9 @@ mod tests {
     #[test]
     fn one_block_hashes_match_streaming() {
         let seed = [0x3cu8; 32];
+        let starts = secret_starts(&seed);
         for i in 0..LEN as u16 {
-            let start = secret_start(&seed, i);
+            let start = starts[usize::from(i)];
             assert_eq!(start, streaming_secret_start(&seed, i), "chain {i}");
             let mut value = start;
             for position in 0..W - 1 {
@@ -260,6 +348,41 @@ mod tests {
             }
             // A multi-step call reuses one block across steps.
             assert_eq!(chain(start, i, 0, W - 1), value, "chain {i}, full");
+        }
+    }
+
+    /// `run_chains` against [`chain`] on each job alone, signing and
+    /// verifying for `digits`: sign jobs run each chain from its start up
+    /// to the digit, verify jobs from the digit to the end.
+    fn assert_runner_matches_per_chain(digits: [u8; LEN], label: &str) {
+        let starts = secret_starts(&[0x5au8; 32]);
+        let sign_jobs = std::array::from_fn(|i| (starts[i], 0, u32::from(digits[i])));
+        let signed = run_chains(sign_jobs);
+        let verify_jobs = std::array::from_fn(|i| (signed[i], u32::from(digits[i]), W - 1));
+        let ends = run_chains(verify_jobs);
+        for (stage, jobs, out) in [("sign", sign_jobs, signed), ("verify", verify_jobs, ends)] {
+            for (i, (value, from, to)) in jobs.into_iter().enumerate() {
+                let alone = chain(value, i as u16, from, to);
+                assert_eq!(out[i], alone, "{label}: {stage} chain {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn lane_runner_matches_per_chain() {
+        // All 0 and all 15 leave every sign or every verify job empty;
+        // alternating 0/15 mixes empty and full jobs, so lanes refill at
+        // different steps; with 67 chains one job always runs alone.
+        assert_runner_matches_per_chain([0; LEN], "all 0");
+        assert_runner_matches_per_chain([15; LEN], "all 15");
+        assert_runner_matches_per_chain(
+            std::array::from_fn(|i| if i % 2 == 0 { 0 } else { 15 }),
+            "alternating 0/15",
+        );
+        let mut rng = Xoshiro256StarStar::seed_from_u64(14);
+        for round in 0..8 {
+            let digits = std::array::from_fn(|_| (rng.next_u64() % 16) as u8);
+            assert_runner_matches_per_chain(digits, &format!("random round {round}"));
         }
     }
 

@@ -1,5 +1,5 @@
 //! Golden values pinned across the layers built on SHA-256: MSS keys,
-//! WOTS recovery, Merkle roots and the double hash of a transfer-sized
+//! WOTS keys, signatures and recovery, Merkle roots and the double hash of a transfer-sized
 //! buffer. Every ledger id, signature and benchmark digest derives from
 //! these functions, so a compression kernel that disagrees with FIPS
 //! 180-4 on any input shape fails here instead of silently moving
@@ -10,6 +10,7 @@ use dlt_crypto::merkle::MerkleTree;
 use dlt_crypto::mss::MssKeypair;
 use dlt_crypto::sha256::{double_sha256, sha256};
 use dlt_crypto::wots::WotsKeypair;
+use dlt_crypto::Digest;
 
 #[test]
 fn mss_public_digest_is_pinned() {
@@ -27,6 +28,38 @@ fn wots_recovered_public_is_pinned() {
         sig.recover_public(&msg).expect("well-formed").to_hex(),
         "b698305c2a4a541e4ed3b44b2a0645addf160e796eba5bc5727988c8d988877a"
     );
+}
+
+#[test]
+fn wots_public_digest_is_pinned() {
+    // Key generation alone: every chain from its secret start to the
+    // end, without going through MSS.
+    assert_eq!(
+        WotsKeypair::from_seed([3; 32]).public_digest().to_hex(),
+        "8d5bac8e26dff13f377ce67e6eb080089e4a466338a7c52ddac0e661b1df664c"
+    );
+}
+
+#[test]
+fn wots_signatures_of_extreme_digests_are_pinned() {
+    // All message digits 0 (every message chain's sign job is empty)
+    // and all 15 (every message chain's verify job is empty).
+    let kp = WotsKeypair::from_seed([3; 32]);
+    let pinned = [
+        (
+            Digest::ZERO,
+            "b484621a848df8d49763ccb757194a472249856ec4c0978910c6496625f01082",
+        ),
+        (
+            Digest::MAX,
+            "83faae715f01dd78cb82a1f6984b0952b9a79a1d82eda736402bbbf794b5ac2b",
+        ),
+    ];
+    for (msg, hex) in pinned {
+        let sig = kp.sign(&msg);
+        assert_eq!(sha256(&sig.encode_to_vec()).to_hex(), hex, "{msg:?}");
+        assert!(sig.verify(&msg, &kp.public_digest()), "{msg:?}");
+    }
 }
 
 #[test]

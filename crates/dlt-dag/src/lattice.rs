@@ -102,9 +102,17 @@ pub enum LatticeError {
     FirstBlockNotReceive,
     /// A send must strictly decrease the balance.
     SendAmountInvalid,
-    /// A receive references a send that is not pending for this
-    /// account.
+    /// A receive references a send the ledger holds that is not
+    /// pending for this account (already received, or addressed to
+    /// another account).
     SourceNotPending,
+    /// A receive references a send the ledger has never seen: it may
+    /// not have arrived yet, like the previous block of
+    /// [`LatticeError::GapPrevious`].
+    GapSource {
+        /// The missing send.
+        source: Digest,
+    },
     /// A receive's balance does not equal previous + pending amount.
     ReceiveAmountMismatch,
     /// A change block must not alter the balance.
@@ -129,6 +137,7 @@ impl std::fmt::Display for LatticeError {
             LatticeError::FirstBlockNotReceive => "first block must be a receive",
             LatticeError::SendAmountInvalid => "send must decrease balance",
             LatticeError::SourceNotPending => "source send is not pending for this account",
+            LatticeError::GapSource { .. } => "source send unknown",
             LatticeError::ReceiveAmountMismatch => "receive amount mismatch",
             LatticeError::ChangeAltersBalance => "change block altered balance",
             LatticeError::Cemented => "block is cemented and cannot be rolled back",
@@ -361,10 +370,13 @@ impl Lattice {
                 );
             }
             BlockKind::Receive { source } => {
-                let info = self
-                    .pending
-                    .get(&source)
-                    .ok_or(LatticeError::SourceNotPending)?;
+                let Some(info) = self.pending.get(&source) else {
+                    return Err(if self.blocks.contains_key(&source) {
+                        LatticeError::SourceNotPending
+                    } else {
+                        LatticeError::GapSource { source }
+                    });
+                };
                 if info.destination != block.account {
                     return Err(LatticeError::SourceNotPending);
                 }
@@ -753,14 +765,24 @@ mod tests {
 
     #[test]
     fn receive_without_pending_rejected() {
-        let (mut lattice, _genesis) = setup(1000);
+        let (mut lattice, mut genesis) = setup(1000);
         let mut bob = new_account(4);
+        // A source the ledger has never seen is a gap, not a rejection.
         let fake = dlt_crypto::sha256::sha256(b"no such send");
-        let receive = bob.receive(fake, 100).unwrap();
+        let early = bob.fork_state().receive(fake, 100).unwrap();
         assert_eq!(
-            lattice.process(receive),
-            Err(LatticeError::SourceNotPending)
+            lattice.process(early),
+            Err(LatticeError::GapSource { source: fake })
         );
+        // A source already received is no longer pending.
+        let send_hash = lattice
+            .process(genesis.send(bob.address(), 100).unwrap())
+            .unwrap();
+        lattice
+            .process(bob.receive(send_hash, 100).unwrap())
+            .unwrap();
+        let again = bob.receive(send_hash, 100).unwrap();
+        assert_eq!(lattice.process(again), Err(LatticeError::SourceNotPending));
     }
 
     #[test]

@@ -238,10 +238,15 @@ impl DagNode {
                 ctx.trace_mark("dag.fork_detected", 1);
                 self.cast_vote(ctx, root, existing);
             }
-            Err(LatticeError::GapPrevious) => {
+            // Held until the missing block is accepted, which replays it.
+            Err(err @ (LatticeError::GapPrevious | LatticeError::GapSource { .. })) => {
                 ctx.metrics().inc(m.gap_buffered);
+                let gap = match err {
+                    LatticeError::GapSource { source } => source,
+                    _ => gap_parent,
+                };
                 self.gap_buffer
-                    .entry(gap_parent)
+                    .entry(gap)
                     .or_default()
                     .push(Payload::clone(&msg));
             }
@@ -515,6 +520,42 @@ mod tests {
             assert!(node.lattice().contains(&s2_hash), "gap healed on node {i}");
         }
         assert!(fx.sim.metrics().count("dag.gap_buffered") > 0);
+    }
+
+    #[test]
+    fn receive_before_its_send_heals_via_gap_buffer() {
+        // The receive reaches node 2 before the send it claims has
+        // arrived anywhere: it waits for the send instead of being
+        // rejected, and every node ends up with both.
+        let mut fx = fixture(5, 3, 10);
+        let mut recipient = NanoAccount::from_seed([40u8; 32], 4, BITS);
+        let send = fx.rep_accounts[0].send(recipient.address(), 25).unwrap();
+        let send_hash = send.hash();
+        let receive = recipient.receive(send_hash, 25).unwrap();
+        let receive_hash = receive.hash();
+        fx.sim.deliver_at(
+            SimTime::from_millis(1),
+            NodeId(2),
+            NodeId(2),
+            DagMsg::publish(receive),
+        );
+        fx.sim.deliver_at(
+            SimTime::from_millis(50),
+            NodeId(0),
+            NodeId(0),
+            DagMsg::publish(send),
+        );
+        fx.sim.run_until_idle(SimTime::from_secs(10));
+        for i in 0..3 {
+            let node = fx.sim.node(NodeId(i));
+            assert!(node.lattice().contains(&send_hash), "node {i} has the send");
+            assert!(
+                node.lattice().contains(&receive_hash),
+                "node {i} has the receive"
+            );
+            assert!(node.lattice().is_settled(&send_hash), "node {i} settled");
+        }
+        assert_eq!(fx.sim.metrics().count("dag.blocks_rejected"), 0);
     }
 
     #[test]
