@@ -275,7 +275,6 @@ impl std::error::Error for AccountError {}
 #[derive(Debug, Clone)]
 pub struct StateDb {
     trie: TrieDb,
-    verify_signatures: bool,
 }
 
 impl Default for StateDb {
@@ -285,20 +284,11 @@ impl Default for StateDb {
 }
 
 impl StateDb {
-    /// Creates an empty state database with signature verification on.
+    /// Creates an empty state database. Every transaction's signature
+    /// is verified.
     pub fn new() -> Self {
         StateDb {
             trie: TrieDb::new(),
-            verify_signatures: true,
-        }
-    }
-
-    /// Creates a state database that skips signature checks (large
-    /// network simulations; the "assume valid" knob).
-    pub fn new_assume_valid() -> Self {
-        StateDb {
-            trie: TrieDb::new(),
-            verify_signatures: false,
         }
     }
 
@@ -345,7 +335,7 @@ impl StateDb {
         tx: &AccountTx,
         producer: &Address,
     ) -> Result<(Digest, Receipt), AccountError> {
-        if self.verify_signatures && !tx.signature.verify(&tx.sighash(), &tx.from) {
+        if !tx.signature.verify(&tx.sighash(), &tx.from) {
             return Err(AccountError::BadSignature);
         }
         let sender_addr = tx.sender();
@@ -791,16 +781,6 @@ mod tests {
         let mut modified = tx;
         modified.nonce += 1;
         assert_ne!(modified.sighash(), sighash);
-    }
-
-    #[test]
-    fn assume_valid_skips_signatures() {
-        let mut db = StateDb::new_assume_valid();
-        let mut alice = holder(14);
-        let root = db.credit(StateDb::empty_root(), &alice.address(), 1_000_000);
-        let mut tx = alice.transfer(Address::from_label("b"), 10, 1);
-        tx.amount = 999;
-        assert!(db.apply_tx(root, &tx, &producer()).is_ok());
     }
 
     #[test]

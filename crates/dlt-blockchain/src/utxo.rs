@@ -277,28 +277,12 @@ impl BlockUndo {
 #[derive(Debug, Clone, Default)]
 pub struct UtxoLedger {
     utxos: BTreeMap<OutPoint, TxOutput>,
-    /// When false, signatures are assumed valid (Bitcoin's
-    /// `assumevalid` behaviour) — used by large network simulations
-    /// where per-input hash-based signature checks would dominate
-    /// runtime without changing any measured behaviour.
-    verify_signatures: bool,
 }
 
 impl UtxoLedger {
-    /// Creates an empty ledger with full signature verification.
+    /// Creates an empty ledger. Every input's signature is verified.
     pub fn new() -> Self {
-        UtxoLedger {
-            utxos: BTreeMap::new(),
-            verify_signatures: true,
-        }
-    }
-
-    /// Creates a ledger that skips signature checks (`assumevalid`).
-    pub fn new_assume_valid() -> Self {
-        UtxoLedger {
-            utxos: BTreeMap::new(),
-            verify_signatures: false,
-        }
+        UtxoLedger::default()
     }
 
     /// Number of unspent outputs.
@@ -363,7 +347,7 @@ impl UtxoLedger {
             if input.pubkey.address() != output.recipient {
                 return Err(UtxoError::WrongOwner);
             }
-            if self.verify_signatures && !input.signature.verify(&sighash, &input.pubkey) {
+            if !input.signature.verify(&sighash, &input.pubkey) {
                 return Err(UtxoError::BadSignature);
             }
             input_total += output.amount;
@@ -863,29 +847,13 @@ mod tests {
     }
 
     #[test]
-    fn assume_valid_skips_signature_checks_only() {
-        let mut wallet = Wallet::new(14);
-        let mut ledger = UtxoLedger::new_assume_valid();
+    fn same_tx_twice_in_a_block_is_a_double_spend() {
+        let mut wallet = Wallet::new(15);
+        let mut ledger = UtxoLedger::new();
         let (genesis, _) = genesis_with_funds(&mut wallet, 100);
         ledger.apply_block(&genesis, 100).unwrap();
-
-        let mut tx = wallet
-            .build_transfer(&ledger, Address::from_label("a"), 10, 0)
-            .unwrap();
-        // Corrupt the signature: assume-valid mode still applies.
-        tx.outputs[0].recipient = Address::from_label("elsewhere");
-        let block = block_at(
-            1,
-            vec![UtxoTx::coinbase(1, 50, Address::from_label("m")), tx],
-        );
-        ledger.apply_block(&block, 50).unwrap();
-        // But structural violations (double spends) still fail.
-        let mut w2 = Wallet::new(15);
-        let mut l2 = UtxoLedger::new_assume_valid();
-        let (g2, _) = genesis_with_funds(&mut w2, 100);
-        l2.apply_block(&g2, 100).unwrap();
-        let t = w2
-            .build_transfer(&l2, Address::from_label("x"), 10, 0)
+        let t = wallet
+            .build_transfer(&ledger, Address::from_label("x"), 10, 0)
             .unwrap();
         let b = block_at(
             1,
@@ -895,7 +863,7 @@ mod tests {
                 t,
             ],
         );
-        assert_eq!(l2.apply_block(&b, 50), Err(UtxoError::DoubleSpend));
+        assert_eq!(ledger.apply_block(&b, 50), Err(UtxoError::DoubleSpend));
     }
 
     #[test]

@@ -32,8 +32,7 @@ use crate::block::{BlockKind, LatticeBlock};
 pub struct LatticeParams {
     /// Leading zero bits required of each block's anti-spam work.
     pub work_difficulty_bits: u32,
-    /// Verify account signatures (disable for large simulations —
-    /// the "assume valid" knob, identical to the blockchain side).
+    /// Verify account signatures.
     pub verify_signatures: bool,
     /// Verify anti-spam work.
     pub verify_work: bool,

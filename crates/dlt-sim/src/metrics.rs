@@ -11,12 +11,6 @@
 //! and rendering; string-keyed reads (and the `*_named` write
 //! wrappers) remain for cold paths such as report tables.
 //!
-//! Each series also maintains a streaming log-linear histogram, so
-//! [`Metrics::percentile`] locates the bucket containing the requested
-//! rank from cumulative bucket counts and only sorts the samples of
-//! that one bucket — exact nearest-rank quantiles without re-sorting
-//! the full series per query.
-//!
 //! NaN samples are never stored: [`Metrics::record`] segregates them
 //! into a per-series drop counter (see [`Metrics::nan_dropped`]), so
 //! one bad sample can no longer panic a whole experiment inside
@@ -35,64 +29,12 @@ pub struct CounterId(u32);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SeriesId(u32);
 
-/// One sample series: raw samples plus a streaming histogram and the
-/// count of NaN samples that were rejected.
+/// One sample series: raw samples and the count of NaN samples that
+/// were rejected.
 #[derive(Debug, Clone, Default)]
 struct Series {
     samples: Vec<f64>,
-    hist: Histogram,
     nan_dropped: u64,
-}
-
-/// A streaming log-linear histogram over f64 samples.
-///
-/// The bucket key is the top 16 bits (sign + exponent + 4 mantissa
-/// bits) of the order-preserving bit transform of the sample, so
-/// bucket keys sort in the same order as the values they hold. The
-/// map stays tiny (a few dozen occupied buckets for typical series)
-/// while letting quantile queries skip straight to the bucket that
-/// contains a given rank.
-#[derive(Debug, Clone, Default)]
-struct Histogram {
-    buckets: BTreeMap<u16, u64>,
-}
-
-impl Histogram {
-    /// The order-preserving bucket key for a (non-NaN) sample.
-    fn bucket_of(value: f64) -> u16 {
-        let bits = value.to_bits();
-        // Flip negative values entirely, set the sign bit on positive
-        // ones: the resulting u64 orders exactly like the f64.
-        let key = if bits >> 63 == 1 {
-            !bits
-        } else {
-            bits | (1 << 63)
-        };
-        (key >> 48) as u16
-    }
-
-    fn record(&mut self, value: f64) {
-        *self.buckets.entry(Self::bucket_of(value)).or_insert(0) += 1;
-    }
-
-    /// The bucket holding the zero-based `rank`-th smallest sample,
-    /// plus how many samples fall in strictly smaller buckets.
-    fn locate(&self, rank: u64) -> Option<(u16, u64)> {
-        let mut below = 0u64;
-        for (&bucket, &count) in &self.buckets {
-            if below + count > rank {
-                return Some((bucket, below));
-            }
-            below += count;
-        }
-        None
-    }
-
-    fn merge(&mut self, other: &Histogram) {
-        for (&bucket, &count) in &other.buckets {
-            *self.buckets.entry(bucket).or_insert(0) += count;
-        }
-    }
 }
 
 /// A named collection of counters and sample series.
@@ -163,7 +105,6 @@ impl Metrics {
             return;
         }
         series.samples.push(value);
-        series.hist.record(value);
     }
 
     /// Increments the named counter by one (cold-path convenience;
@@ -249,34 +190,22 @@ impl Metrics {
     /// The `q`-quantile (0 ≤ q ≤ 1) of a series by nearest-rank, or
     /// `None` if the series is empty.
     ///
-    /// Exact, but does not re-sort the full series: the streaming
-    /// histogram locates the bucket containing the requested rank and
-    /// only that bucket's samples are sorted. NaN samples were already
-    /// segregated at record time and cannot appear here.
+    /// Exact: the rank is selected from a copy of the samples in
+    /// [`f64::total_cmp`] order. NaN samples were already segregated
+    /// at record time and cannot appear here.
     ///
     /// # Panics
     ///
     /// Panics if `q` is outside `[0, 1]`.
     pub fn percentile(&self, name: &str, q: f64) -> Option<f64> {
         assert!((0.0..=1.0).contains(&q), "quantile out of range");
-        let series = self.series_by_name(name)?;
-        let n = series.samples.len();
-        if n == 0 {
+        let mut samples = self.samples(name).to_vec();
+        if samples.is_empty() {
             return None;
         }
-        let rank = ((n as f64 - 1.0) * q).round() as u64;
-        let (bucket, below) = series
-            .hist
-            .locate(rank)
-            .expect("rank is within the histogram's total count");
-        let mut in_bucket: Vec<f64> = series
-            .samples
-            .iter()
-            .copied()
-            .filter(|&v| Histogram::bucket_of(v) == bucket)
-            .collect();
-        in_bucket.sort_by(f64::total_cmp);
-        Some(in_bucket[(rank - below) as usize])
+        let rank = ((samples.len() as f64 - 1.0) * q).round() as usize;
+        let (_, value, _) = samples.select_nth_unstable_by(rank, f64::total_cmp);
+        Some(*value)
     }
 
     /// Minimum of a series.
@@ -309,7 +238,6 @@ impl Metrics {
             let mine = self.series(name);
             let s = &mut self.series[mine.0 as usize];
             s.samples.extend_from_slice(&theirs.samples);
-            s.hist.merge(&theirs.hist);
             s.nan_dropped += theirs.nan_dropped;
         }
     }
