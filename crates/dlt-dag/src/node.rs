@@ -12,7 +12,8 @@
 //! receive transactions"); nodes that adopted the losing side of a fork
 //! roll it back and adopt the winner. Confirmed blocks are cemented.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
 
 use dlt_crypto::keys::Address;
 use dlt_crypto::Digest;
@@ -96,24 +97,43 @@ impl DagMetrics {
     }
 }
 
+/// What a node holds for one block hash: its publish dedup, its body
+/// and its confirmation, in one record.
+#[derive(Debug, Default)]
+struct BlockRecord {
+    /// The publish as first heard (the payload the relay shared) and
+    /// its arrival time in µs. `None` for a bootstrap block, whose one
+    /// body is the lattice's.
+    heard: Option<(Payload<DagMsg>, u64)>,
+    /// Whether this node has confirmed the block.
+    confirmed: bool,
+}
+
+/// How a held block body reaches [`DagNode::apply`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Via {
+    /// First hearing, or release from the gap buffer: accepting the
+    /// block casts this node's vote, and a fork, gap or rejection is
+    /// handled as gossip.
+    Gossip,
+    /// Adoption of a confirmed winner: no vote, and a block that does
+    /// not apply is left where it is.
+    Adoption,
+}
+
 /// A full DAG node: lattice, elections, relay and (optionally) voting.
 pub struct DagNode {
     lattice: Lattice,
     elections: ElectionManager,
     config: DagNodeConfig,
-    /// Gossip dedup for published blocks (vote dedup lives in the
-    /// elections: [`ElectionManager::first_hearing`]).
-    seen: BTreeSet<Digest>,
-    /// Publishes whose `previous` has not arrived yet, keyed by that gap.
-    gap_buffer: BTreeMap<Digest, Vec<Payload<DagMsg>>>,
-    /// Candidate block bodies by hash, as the shared payload they
-    /// arrived in, so a losing node can adopt the confirmed winner it
-    /// rejected earlier without keeping its own copy of every body.
-    candidates: BTreeMap<Digest, Payload<DagMsg>>,
-    /// Block arrival times (µs) for confirmation-latency metrics.
-    arrival_micros: BTreeMap<Digest, u64>,
-    /// Locally confirmed blocks.
-    confirmed: BTreeSet<Digest>,
+    /// One record per block hash heard or bootstrapped (vote dedup
+    /// lives in the elections: [`ElectionManager::first_hearing`]).
+    blocks: BTreeMap<Digest, BlockRecord>,
+    /// Heard blocks whose `previous` or source is not in the lattice
+    /// yet, keyed by that gap.
+    gap_buffer: BTreeMap<Digest, Vec<Digest>>,
+    /// Number of blocks confirmed locally.
+    confirmations: usize,
     /// Metric handles, registered in `on_start`.
     metrics: Option<DagMetrics>,
 }
@@ -125,11 +145,9 @@ impl DagNode {
             lattice: Lattice::new(params, genesis),
             elections: ElectionManager::new(config.quorum_fraction),
             config,
-            seen: BTreeSet::new(),
+            blocks: BTreeMap::new(),
             gap_buffer: BTreeMap::new(),
-            candidates: BTreeMap::new(),
-            arrival_micros: BTreeMap::new(),
-            confirmed: BTreeSet::new(),
+            confirmations: 0,
             metrics: None,
         }
     }
@@ -153,11 +171,11 @@ impl DagNode {
     /// Panics if the block does not apply cleanly — bootstrap state
     /// must be valid by construction.
     pub fn bootstrap(&mut self, block: LatticeBlock) {
-        let hash = block.hash();
-        self.lattice
+        let hash = self
+            .lattice
             .process(block)
             .expect("bootstrap blocks are valid");
-        self.seen.insert(hash);
+        self.blocks.insert(hash, BlockRecord::default());
     }
 
     /// This node's election state.
@@ -167,16 +185,22 @@ impl DagNode {
 
     /// Whether this node has confirmed a block.
     pub fn is_confirmed(&self, hash: &Digest) -> bool {
-        self.confirmed.contains(hash)
+        self.blocks.get(hash).is_some_and(|record| record.confirmed)
     }
 
     /// Number of blocks confirmed locally.
     pub fn confirmed_count(&self) -> usize {
-        self.confirmed.len()
+        self.confirmations
     }
 
     fn election_root(block: &LatticeBlock) -> ElectionRoot {
         (block.account, block.previous)
+    }
+
+    /// The body of a heard block, as the shared payload it arrived in.
+    fn heard(&self, hash: &Digest) -> Option<Payload<DagMsg>> {
+        let (msg, _) = self.blocks.get(hash)?.heard.as_ref()?;
+        Some(Payload::clone(msg))
     }
 
     /// Casts this node's representative vote (if it is one) and
@@ -200,37 +224,61 @@ impl DagNode {
         ctx.metrics().inc(m.votes_cast);
     }
 
-    /// Processes a gossiped `Publish`. Takes the shared payload so the
-    /// flood relay re-shares the sender's allocation instead of
-    /// cloning the block per peer.
+    /// Hears a gossiped `Publish`: dedup on the block record, write
+    /// the record, relay, then apply. Runs once per block per node.
+    /// Takes the shared payload so the flood relay re-shares the
+    /// sender's allocation instead of cloning the block per peer.
     fn handle_publish(&mut self, ctx: &mut Context<'_, DagMsg>, msg: Payload<DagMsg>) {
         let DagMsg::Publish(block) = &*msg else {
             return;
         };
         let hash = block.hash();
-        if !self.seen.insert(hash) {
+        let Entry::Vacant(slot) = self.blocks.entry(hash) else {
             return;
-        }
-        let m = self.handles();
-        self.arrival_micros.insert(hash, ctx.now().as_micros());
-        self.candidates.insert(hash, Payload::clone(&msg));
+        };
+        slot.insert(BlockRecord {
+            heard: Some((Payload::clone(&msg), ctx.now().as_micros())),
+            confirmed: false,
+        });
         ctx.broadcast(Payload::clone(&msg));
+        self.apply(ctx, hash, &msg, Via::Gossip);
+    }
 
+    /// Offers the body of block `hash` to the lattice; the one way a
+    /// block body enters it. Whenever the lattice accepts a block, the
+    /// blocks held in the gap buffer on its hash are applied next,
+    /// through this same function. Returns whether the block was
+    /// accepted.
+    fn apply(
+        &mut self,
+        ctx: &mut Context<'_, DagMsg>,
+        hash: Digest,
+        msg: &DagMsg,
+        via: Via,
+    ) -> bool {
+        let DagMsg::Publish(block) = msg else {
+            return false;
+        };
+        let m = self.handles();
         let root = Self::election_root(block);
-        let gap_parent = block.previous;
-        match self.lattice.process(block.clone()) {
+        let result = self.lattice.process(block.clone());
+        let accepted = result.is_ok();
+        match result {
             Ok(_) => {
-                ctx.metrics().inc(m.blocks_accepted);
-                self.cast_vote(ctx, root, hash);
-                // A gap behind this block may now be fillable.
-                if let Some(waiting) = self.gap_buffer.remove(&hash) {
-                    for held in waiting {
-                        if let DagMsg::Publish(block) = &*held {
-                            self.seen.remove(&block.hash()); // reprocess fully
-                        }
-                        self.handle_publish(ctx, held);
+                if via == Via::Gossip {
+                    ctx.metrics().inc(m.blocks_accepted);
+                    self.cast_vote(ctx, root, hash);
+                }
+                for held in self.gap_buffer.remove(&hash).unwrap_or_default() {
+                    if let Some(msg) = self.heard(&held) {
+                        self.apply(ctx, held, &msg, Via::Gossip);
                     }
                 }
+            }
+            // Can't adopt. A winner with a gap of its own is still in
+            // the gap buffer; its release applies the confirmation.
+            Err(_) if via == Via::Adoption => {
+                ctx.metrics().inc(m.confirmed_unadoptable);
             }
             Err(LatticeError::Fork { existing }) => {
                 // First-seen voting policy: back the incumbent.
@@ -238,17 +286,14 @@ impl DagNode {
                 ctx.trace_mark("dag.fork_detected", 1);
                 self.cast_vote(ctx, root, existing);
             }
-            // Held until the missing block is accepted, which replays it.
+            // Held until the missing block is accepted.
             Err(err @ (LatticeError::GapPrevious | LatticeError::GapSource { .. })) => {
                 ctx.metrics().inc(m.gap_buffered);
                 let gap = match err {
                     LatticeError::GapSource { source } => source,
-                    _ => gap_parent,
+                    _ => block.previous,
                 };
-                self.gap_buffer
-                    .entry(gap)
-                    .or_default()
-                    .push(Payload::clone(&msg));
+                self.gap_buffer.entry(gap).or_default().push(hash);
             }
             Err(LatticeError::Duplicate) => {}
             Err(_) => {
@@ -258,9 +303,13 @@ impl DagNode {
         // The election for this position may have concluded before the
         // winning block's body reached us — apply it now that we hold
         // the body.
-        if self.elections.is_confirmed(&root, &hash) && !self.is_confirmed(&hash) {
+        if via == Via::Gossip
+            && self.elections.is_confirmed(&root, &hash)
+            && !self.is_confirmed(&hash)
+        {
             self.apply_confirmation(ctx, root, hash);
         }
+        accepted
     }
 
     fn handle_vote(&mut self, ctx: &mut Context<'_, DagMsg>, vote: Vote) {
@@ -306,27 +355,29 @@ impl DagNode {
                     ctx.metrics().inc(m.losing_branches_rolled_back);
                 }
             }
-            let Some(DagMsg::Publish(block)) = self.candidates.get(&winner).map(|msg| &**msg)
-            else {
+            let Some(msg) = self.heard(&winner) else {
                 return; // body unknown; confirmation applies on arrival
             };
-            if self.lattice.process(block.clone()).is_err() {
-                // Can't adopt yet (e.g. deeper gaps); leave it — the
-                // block will be re-offered by gossip.
-                ctx.metrics().inc(m.confirmed_unadoptable);
+            if !self.apply(ctx, winner, &msg, Via::Adoption) {
                 return;
             }
         }
-        if self.confirmed.insert(winner) {
-            ctx.metrics().inc(m.blocks_confirmed);
-            ctx.trace_mark("dag.block_confirmed", self.confirmed.len() as u64);
-            if let Some(arrived) = self.arrival_micros.get(&winner) {
-                let latency_ms = (ctx.now().as_micros().saturating_sub(*arrived)) as f64 / 1e3;
-                ctx.metrics().record(m.confirm_latency_ms, latency_ms);
-            }
-            if self.config.cement_on_confirm {
-                let _ = self.lattice.cement(&winner);
-            }
+        // Only the genesis block is in the lattice without a record.
+        let record = self.blocks.entry(winner).or_default();
+        if record.confirmed {
+            return;
+        }
+        record.confirmed = true;
+        let arrived = record.heard.as_ref().map(|&(_, at)| at);
+        self.confirmations += 1;
+        ctx.metrics().inc(m.blocks_confirmed);
+        ctx.trace_mark("dag.block_confirmed", self.confirmations as u64);
+        if let Some(arrived) = arrived {
+            let latency_ms = (ctx.now().as_micros().saturating_sub(arrived)) as f64 / 1e3;
+            ctx.metrics().record(m.confirm_latency_ms, latency_ms);
+        }
+        if self.config.cement_on_confirm {
+            let _ = self.lattice.cement(&winner);
         }
     }
 }
@@ -556,6 +607,81 @@ mod tests {
             assert!(node.lattice().is_settled(&send_hash), "node {i} settled");
         }
         assert_eq!(fx.sim.metrics().count("dag.blocks_rejected"), 0);
+    }
+
+    #[test]
+    fn gap_held_block_is_relayed_once_and_timed_from_first_arrival() {
+        // Node 0 relays to node 1 only, and node 1 has no peers, so
+        // every scheduled message is one relay (or vote) by node 0.
+        let mut fx = fixture(7, 2, 10);
+        fx.sim
+            .network_mut()
+            .set_topology(vec![vec![NodeId(1)], vec![]]);
+        let recipient = Address::from_label("r");
+        let s1 = fx.rep_accounts[0].send(recipient, 10).unwrap();
+        let s2 = fx.rep_accounts[0].send(recipient, 10).unwrap();
+        // `s2` arrives first and waits for `s1` in the gap buffer.
+        fx.sim.deliver_at(
+            SimTime::from_millis(100),
+            NodeId(0),
+            NodeId(0),
+            DagMsg::publish(s2),
+        );
+        fx.sim.run_until_idle(SimTime::from_secs(10));
+        assert_eq!(fx.sim.metrics().count("net.messages"), 1, "s2 relayed");
+        fx.sim.deliver_at(
+            SimTime::from_millis(200),
+            NodeId(0),
+            NodeId(0),
+            DagMsg::publish(s1),
+        );
+        fx.sim.run_until_idle(SimTime::from_secs(10));
+        assert_eq!(
+            fx.sim.metrics().count("dag.gap_buffered"),
+            2,
+            "one per node"
+        );
+        assert_eq!(
+            fx.sim.metrics().count("net.messages"),
+            4,
+            "s1 relayed and one vote each for s1 and s2, s2 not relayed again"
+        );
+        // Node 1 heard s2 at 110 ms and s1 at 210 ms, and confirms both
+        // when node 0's votes arrive at 210 ms.
+        let mut latencies = fx.sim.metrics().samples("dag.confirm_latency_ms").to_vec();
+        latencies.sort_by(f64::total_cmp);
+        assert_eq!(latencies, [0.0, 100.0]);
+    }
+
+    #[test]
+    fn successor_of_an_adopted_winner_is_applied() {
+        // Node 0 hears the loser `b` first, then `c` (built on the
+        // winner `a`), then `a` itself, then a quorum of votes for `a`.
+        let mut fx = fixture(8, 4, 10);
+        fx.sim.network_mut().set_topology(vec![vec![]; 4]);
+        let mut a_side = fx.genesis.fork_state();
+        let mut b_side = fx.genesis.fork_state();
+        let a = a_side.send(Address::from_label("a"), 100).unwrap();
+        let c = a_side.send(Address::from_label("c"), 100).unwrap();
+        let b = b_side.send(Address::from_label("b"), 100).unwrap();
+        let (root, a_hash, c_hash) = (DagNode::election_root(&a), a.hash(), c.hash());
+        let mut msgs = vec![DagMsg::publish(b), DagMsg::publish(c), DagMsg::publish(a)];
+        for rep in &fx.rep_accounts[1..] {
+            msgs.push(DagMsg::Vote(Vote {
+                representative: rep.address(),
+                root,
+                candidate: a_hash,
+            }));
+        }
+        for (i, msg) in msgs.into_iter().enumerate() {
+            let at = SimTime::from_millis(100 * (i as u64 + 1));
+            fx.sim.deliver_at(at, NodeId(0), NodeId(0), msg);
+        }
+        fx.sim.run_until_idle(SimTime::from_secs(10));
+        let node = fx.sim.node(NodeId(0));
+        assert!(node.is_confirmed(&a_hash), "a confirmed");
+        assert!(node.lattice().contains(&a_hash), "a adopted");
+        assert!(node.lattice().contains(&c_hash), "c applied after a");
     }
 
     #[test]
