@@ -13,8 +13,7 @@ fn main() {
     let _report = banner("e02", "the block-lattice", "§II-B, Fig. 2");
     let params = LatticeParams {
         work_difficulty_bits: 4,
-        verify_signatures: true,
-        verify_work: true,
+        ..Default::default()
     };
     let mut genesis = NanoAccount::from_seed([1u8; 32], 6, 4);
     let mut lattice = Lattice::new(params, genesis.genesis_block(1_000_000));

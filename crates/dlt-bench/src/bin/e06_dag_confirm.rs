@@ -21,8 +21,7 @@ const BITS: u32 = 2;
 fn params() -> LatticeParams {
     LatticeParams {
         work_difficulty_bits: BITS,
-        verify_signatures: true,
-        verify_work: true,
+        ..Default::default()
     }
 }
 

@@ -50,8 +50,7 @@ fn main() {
     let mut nano = NanoAdapter::new(
         LatticeParams {
             work_difficulty_bits: 2,
-            verify_signatures: true,
-            verify_work: true,
+            ..Default::default()
         },
         8,
         100_000_000,
@@ -124,8 +123,7 @@ fn main() {
     let mut nano2 = NanoAdapter::new(
         LatticeParams {
             work_difficulty_bits: 2,
-            verify_signatures: true,
-            verify_work: true,
+            ..Default::default()
         },
         8,
         100_000_000,

@@ -99,8 +99,7 @@ fn main() {
     // --- Nano node roles. ---
     let params = LatticeParams {
         work_difficulty_bits: 2,
-        verify_signatures: true,
-        verify_work: true,
+        ..Default::default()
     };
     let mut genesis = NanoAccount::from_seed([3u8; 32], 10, 2);
     let mut lattice = Lattice::new(params, genesis.genesis_block(100_000_000));

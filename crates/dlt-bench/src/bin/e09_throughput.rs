@@ -112,8 +112,7 @@ fn main() {
     let mut nano = NanoAdapter::new(
         LatticeParams {
             work_difficulty_bits: 2,
-            verify_signatures: true,
-            verify_work: true,
+            ..Default::default()
         },
         actors,
         1_000_000_000,

@@ -183,8 +183,7 @@ pub fn run_blockchain_scenario(
 fn dag_params() -> LatticeParams {
     LatticeParams {
         work_difficulty_bits: BITS,
-        verify_signatures: true,
-        verify_work: true,
+        ..Default::default()
     }
 }
 

@@ -695,8 +695,7 @@ mod tests {
         NanoAdapter::new(
             LatticeParams {
                 work_difficulty_bits: 2,
-                verify_signatures: true,
-                verify_work: true,
+                ..Default::default()
             },
             actors,
             1_000_000,

@@ -630,8 +630,7 @@ mod tests {
     fn params() -> LatticeParams {
         LatticeParams {
             work_difficulty_bits: BITS,
-            verify_signatures: true,
-            verify_work: true,
+            ..Default::default()
         }
     }
 

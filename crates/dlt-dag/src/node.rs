@@ -197,12 +197,6 @@ impl DagNode {
         (block.account, block.previous)
     }
 
-    /// The body of a heard block, as the shared payload it arrived in.
-    fn heard(&self, hash: &Digest) -> Option<Payload<DagMsg>> {
-        let (msg, _) = self.blocks.get(hash)?.heard.as_ref()?;
-        Some(Payload::clone(msg))
-    }
-
     /// Casts this node's representative vote (if it is one) and
     /// gossips it.
     fn cast_vote(&mut self, ctx: &mut Context<'_, DagMsg>, root: ElectionRoot, candidate: Digest) {
@@ -240,23 +234,20 @@ impl DagNode {
             heard: Some((Payload::clone(&msg), ctx.now().as_micros())),
             confirmed: false,
         });
-        ctx.broadcast(Payload::clone(&msg));
-        self.apply(ctx, hash, &msg, Via::Gossip);
+        ctx.broadcast(msg);
+        self.apply(ctx, hash, Via::Gossip);
     }
 
-    /// Offers the body of block `hash` to the lattice; the one way a
-    /// block body enters it. Whenever the lattice accepts a block, the
-    /// blocks held in the gap buffer on its hash are applied next,
-    /// through this same function. Returns whether the block was
-    /// accepted.
-    fn apply(
-        &mut self,
-        ctx: &mut Context<'_, DagMsg>,
-        hash: Digest,
-        msg: &DagMsg,
-        via: Via,
-    ) -> bool {
-        let DagMsg::Publish(block) = msg else {
+    /// Offers the heard body of block `hash` to the lattice; the one
+    /// way a block body enters it. Whenever the lattice accepts a
+    /// block, the blocks held in the gap buffer on its hash are applied
+    /// next, through this same function. Returns whether the block was
+    /// accepted (`false` too when its body has not been heard).
+    fn apply(&mut self, ctx: &mut Context<'_, DagMsg>, hash: Digest, via: Via) -> bool {
+        let Some((msg, _)) = self.blocks.get(&hash).and_then(|r| r.heard.clone()) else {
+            return false;
+        };
+        let DagMsg::Publish(block) = &*msg else {
             return false;
         };
         let m = self.handles();
@@ -270,9 +261,7 @@ impl DagNode {
                     self.cast_vote(ctx, root, hash);
                 }
                 for held in self.gap_buffer.remove(&hash).unwrap_or_default() {
-                    if let Some(msg) = self.heard(&held) {
-                        self.apply(ctx, held, &msg, Via::Gossip);
-                    }
+                    self.apply(ctx, held, Via::Gossip);
                 }
             }
             // Can't adopt. A winner with a gap of its own is still in
@@ -355,10 +344,8 @@ impl DagNode {
                     ctx.metrics().inc(m.losing_branches_rolled_back);
                 }
             }
-            let Some(msg) = self.heard(&winner) else {
-                return; // body unknown; confirmation applies on arrival
-            };
-            if !self.apply(ctx, winner, &msg, Via::Adoption) {
+            // A body not heard yet is confirmed on arrival.
+            if !self.apply(ctx, winner, Via::Adoption) {
                 return;
             }
         }
@@ -416,8 +403,7 @@ mod tests {
     fn params() -> LatticeParams {
         LatticeParams {
             work_difficulty_bits: BITS,
-            verify_signatures: true,
-            verify_work: true,
+            ..Default::default()
         }
     }
 

@@ -113,8 +113,7 @@ mod tests {
     fn busy_lattice(traffic_rounds: usize) -> Lattice {
         let params = LatticeParams {
             work_difficulty_bits: 2,
-            verify_signatures: true,
-            verify_work: true,
+            ..Default::default()
         };
         let mut genesis = NanoAccount::from_seed([1u8; 32], 8, 2);
         let mut lattice = Lattice::new(params, genesis.genesis_block(1_000_000));
@@ -162,8 +161,7 @@ mod tests {
     fn pending_entries_count_for_both_roles() {
         let params = LatticeParams {
             work_difficulty_bits: 2,
-            verify_signatures: true,
-            verify_work: true,
+            ..Default::default()
         };
         let mut genesis = NanoAccount::from_seed([3u8; 32], 6, 2);
         let mut lattice = Lattice::new(params, genesis.genesis_block(1_000));

@@ -54,8 +54,7 @@ fn nano() -> NanoAdapter {
     NanoAdapter::new(
         LatticeParams {
             work_difficulty_bits: 2,
-            verify_signatures: true,
-            verify_work: true,
+            ..Default::default()
         },
         5,
         50_000_000,

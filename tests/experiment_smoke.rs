@@ -7,8 +7,11 @@
 //! seeds and requires byte-identical stdout (dispatch-hash lines
 //! included) and JSON — the workspace-wide determinism guarantee CI
 //! leans on. A third test runs e09 with `DLT_TRACE=1`
-//! and asserts the emitted event log is parseable, non-empty JSON.
+//! and asserts the emitted event log is parseable, non-empty JSON, and
+//! a fourth requires e06 and e09 to print the same stdout traced and
+//! untraced.
 
+use std::ffi::OsStr;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -43,9 +46,9 @@ fn workspace_root() -> PathBuf {
         .to_path_buf()
 }
 
-/// Runs one experiment binary in smoke mode, returning its stdout and
-/// the JSON report it wrote.
-fn run_experiment(bin: &str, tag: &str) -> (String, String) {
+/// Runs one experiment binary in smoke mode with the extra `env`,
+/// returning its stdout and the JSON report it wrote.
+fn run_experiment(bin: &str, tag: &str, env: &[(&str, &OsStr)]) -> (String, String) {
     let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string());
     let json_out =
         std::env::temp_dir().join(format!("dlt_smoke_{bin}_{tag}_{}.json", std::process::id()));
@@ -62,6 +65,7 @@ fn run_experiment(bin: &str, tag: &str) -> (String, String) {
         ])
         .env("DLT_SMOKE", "1")
         .env("DLT_JSON_OUT", &json_out)
+        .envs(env.iter().copied())
         .output()
         .expect("spawn cargo run");
     assert!(
@@ -112,7 +116,7 @@ fn assert_valid_report(bin: &str, id: &str, report: &str) {
 #[test]
 fn every_experiment_exits_zero_with_a_valid_json_report() {
     for &(bin, id) in EXPERIMENTS {
-        let (stdout, report) = run_experiment(bin, "a");
+        let (stdout, report) = run_experiment(bin, "a", &[]);
         assert!(
             stdout.contains(&format!("{id}:")),
             "{bin} stdout is missing its banner"
@@ -138,8 +142,8 @@ fn sim_experiments_are_byte_deterministic_across_runs() {
         ("e13_sharding", Some("combined_hash[e13]=0x")),
         ("e18_faults", Some("dispatch_hash[")),
     ] {
-        let (stdout_first, report_first) = run_experiment(bin, "b");
-        let (stdout_second, report_second) = run_experiment(bin, "c");
+        let (stdout_first, report_first) = run_experiment(bin, "b", &[]);
+        let (stdout_second, report_second) = run_experiment(bin, "c", &[]);
         if let Some(prefix) = fingerprint {
             assert!(
                 stdout_first.lines().any(|line| line.starts_with(prefix)),
@@ -197,4 +201,26 @@ fn dlt_trace_emits_a_parseable_event_log() {
             && e.get("label").and_then(|v| v.as_str()) == Some("workload.offered")
     });
     assert!(has_mark, "trace log is missing workload milestone marks");
+}
+
+#[test]
+fn dlt_trace_never_changes_stdout() {
+    // e06 prints the dispatch hash of every DAG run; tracing observes
+    // the schedule and must not perturb it or any printed figure.
+    for bin in ["e06_dag_confirm", "e09_throughput"] {
+        let trace_out =
+            std::env::temp_dir().join(format!("dlt_trace_{bin}_{}.json", std::process::id()));
+        let (untraced, _) = run_experiment(bin, "untraced", &[]);
+        let (traced, _) = run_experiment(
+            bin,
+            "traced",
+            &[
+                ("DLT_TRACE", OsStr::new("1")),
+                ("DLT_TRACE_OUT", trace_out.as_os_str()),
+            ],
+        );
+        assert!(trace_out.exists(), "{bin} wrote no event log");
+        std::fs::remove_file(&trace_out).ok();
+        assert_eq!(untraced, traced, "{bin} stdout changes under DLT_TRACE=1");
+    }
 }

@@ -146,8 +146,7 @@ const BITS: u32 = 2;
 fn dag_params() -> LatticeParams {
     LatticeParams {
         work_difficulty_bits: BITS,
-        verify_signatures: true,
-        verify_work: true,
+        ..Default::default()
     }
 }
 

@@ -108,8 +108,7 @@ fn node_role_spectrum_is_ordered() {
     // SPV < pruned < archival on the blockchain side.
     let params = dlt_dag::lattice::LatticeParams {
         work_difficulty_bits: 2,
-        verify_signatures: true,
-        verify_work: true,
+        ..Default::default()
     };
     let mut genesis = dlt_dag::account::NanoAccount::from_seed([9u8; 32], 9, 2);
     let mut lattice = dlt_dag::lattice::Lattice::new(params, genesis.genesis_block(1_000_000));

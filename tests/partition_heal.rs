@@ -93,8 +93,7 @@ fn dag_partition_with_disjoint_accounts_merges_cleanly() {
     const BITS: u32 = 2;
     let params = LatticeParams {
         work_difficulty_bits: BITS,
-        verify_signatures: true,
-        verify_work: true,
+        ..Default::default()
     };
     let mut genesis = NanoAccount::from_seed([1u8; 32], 8, BITS);
     let genesis_block = genesis.genesis_block(1_000_000);

@@ -155,8 +155,7 @@ prop! {
         let rollback_choice = g.any_usize();
         let params = LatticeParams {
             work_difficulty_bits: 1,
-            verify_signatures: true,
-            verify_work: true,
+            ..Default::default()
         };
         let supply = 1_000_000u64;
         let mut genesis = NanoAccount::from_seed([1u8; 32], 8, 1);

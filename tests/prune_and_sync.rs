@@ -86,8 +86,7 @@ fn fast_synced_node_agrees_with_archival_state() {
 fn nano_current_node_data_suffices_for_new_blocks() {
     let params = LatticeParams {
         work_difficulty_bits: 2,
-        verify_signatures: true,
-        verify_work: true,
+        ..Default::default()
     };
     let mut genesis = NanoAccount::from_seed([4u8; 32], 9, 2);
     let mut lattice = Lattice::new(params, genesis.genesis_block(1_000_000));
