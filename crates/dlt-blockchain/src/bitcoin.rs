@@ -189,23 +189,24 @@ impl BitcoinChain {
             .mempool
             .select_for_block(self.params.max_block_bytes.saturating_sub(200));
         for tx in candidates {
-            let trial = Block::new(
+            let mut trial = Block::new(
                 BlockHeader {
                     parent: parent_id,
                     height,
                     ..self.header_template(timestamp_micros)
                 },
-                vec![UtxoTx::coinbase(height, 0, miner), tx.clone()],
+                vec![UtxoTx::coinbase(height, 0, miner), tx],
             );
             // Validate the candidate alone on the scratch ledger state.
-            match scratch.apply_block(&trial, 0) {
-                Ok(_) => {
-                    fees += tx.fee();
-                    txs.push(tx);
-                }
-                Err(_) => {
-                    self.mempool.remove_confirmed([tx.id()]);
-                }
+            let valid = scratch.apply_block(&trial, 0).is_ok();
+            // Take the checked transfer back out: its signatures keep
+            // their verdicts, so the mined block's check shares them.
+            let tx = trial.txs.pop().expect("the trial holds the candidate");
+            if valid {
+                fees += tx.fee();
+                txs.push(tx);
+            } else {
+                self.mempool.remove_confirmed([tx.id()]);
             }
         }
         txs[0] = UtxoTx::coinbase(height, self.params.subsidy + fees, miner);

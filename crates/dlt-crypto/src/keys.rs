@@ -324,6 +324,51 @@ mod tests {
         assert_eq!(one_time.remaining(), None);
     }
 
+    /// A copy of `sig` decoded from its bytes with `mask` xored into
+    /// the first byte of WOTS part `part`.
+    fn tampered(sig: &WotsSignature, part: usize, mask: u8) -> WotsSignature {
+        let mut bytes = sig.encode_to_vec();
+        let at = bytes.len() - (crate::wots::LEN - part) * 32;
+        bytes[at] ^= mask;
+        decode_exact(&bytes).unwrap()
+    }
+
+    dlt_testkit::prop! {
+        /// The memoized verdict is the verdict of a fresh decode of the
+        /// same bytes: random WOTS and MSS keys, two messages checked in
+        /// a random order, one part flipped or none, and a clone.
+        fn memoized_verdict_matches_fresh_decode(g, cases = 32) {
+            let seed = std::array::from_fn(|_| g.any_u8());
+            let mut kp = if g.any_bool() {
+                Keypair::mss_from_seed(seed, g.u64_below(3) as u32)
+            } else {
+                Keypair::wots_from_seed(seed)
+            };
+            let public = kp.public_key();
+            let msg = sha256(&g.bytes_in(0, 8));
+            let other = sha256(&g.bytes_in(0, 8));
+            let mut sig = kp.sign(&msg).unwrap();
+            let tamper = g.option(|g| (g.usize_in(0, crate::wots::LEN), g.u8_in(1, 255)));
+            if let Some((part, mask)) = tamper {
+                match &mut sig {
+                    Signature::Wots(wots) => *wots = tampered(wots, part, mask),
+                    Signature::Mss(mss) => mss.wots_sig = tampered(&mss.wots_sig, part, mask),
+                }
+            } else {
+                assert!(sig.verify(&msg, &public));
+            }
+            let fresh = |sig: &Signature, m: &Digest| {
+                decode_exact::<Signature>(&sig.encode_to_vec()).unwrap().verify(m, &public)
+            };
+            for _ in 0..3 {
+                let m = if g.any_bool() { msg } else { other };
+                assert_eq!(sig.verify(&m, &public), fresh(&sig, &m));
+                let copy = sig.clone();
+                assert_eq!(copy.verify(&m, &public), fresh(&copy, &m));
+            }
+        }
+    }
+
     #[test]
     fn address_from_label_stable() {
         assert_eq!(Address::from_label("alice"), Address::from_label("alice"));

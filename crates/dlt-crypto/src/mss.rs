@@ -161,10 +161,8 @@ impl MssSignature {
         if self.auth_path.index != self.leaf_index as usize {
             return false;
         }
-        match self.wots_sig.recover_public(msg) {
-            Some(leaf_pk) => self.auth_path.compute_root(&leaf_pk) == *public_digest,
-            None => false,
-        }
+        let leaf_pk = self.wots_sig.recover_public(msg);
+        self.auth_path.compute_root(&leaf_pk) == *public_digest
     }
 
     /// Encoded size in bytes (for ledger-size accounting).

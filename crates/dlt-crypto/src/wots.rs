@@ -21,7 +21,11 @@
 //! fill both lanes. Only the last job left runs alone. Every key and
 //! signature is the same as hashing the chains one by one.
 
-use crate::codec::{Decode, DecodeError, Encode};
+use std::cell::OnceCell;
+use std::fmt;
+use std::sync::Arc;
+
+use crate::codec::{write_varint, Decode, DecodeError, Encode};
 use crate::digest::Digest;
 use crate::sha256::{padded_block, sha256_padded_blocks, Sha256};
 
@@ -245,40 +249,69 @@ pub(crate) fn sign_from_seed(seed: &[u8; 32], msg: &Digest) -> WotsSignature {
     let parts = run_chains(std::array::from_fn(|i| {
         (starts[i], 0, u32::from(digits[i]))
     }));
-    WotsSignature {
-        parts: parts.to_vec(),
-    }
+    WotsSignature::new(Box::new(parts))
 }
 
 /// A WOTS signature: one intermediate chain value per digit (~2.1 KiB).
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Its [`LEN`] parts sit behind one pointer and never change after
+/// construction, so a signature keeps the result of its first
+/// [recovery](WotsSignature::recover_public): the message and the
+/// public-key commitment it gave. A later recovery under the same
+/// message returns that commitment instead of running the chains
+/// again, and clones share it, so every holder of a copy shares one
+/// check. A recovery under any other message runs in full.
+/// `==` and the codec look only at the parts, and a decoded signature
+/// starts with no memo.
+#[derive(Clone)]
 pub struct WotsSignature {
-    parts: Vec<Digest>,
+    parts: Box<[Digest; LEN]>,
+    /// `(message, recovered commitment)` of the first recovery, behind
+    /// a pointer so that an unverified signature pays one word, and
+    /// shared so that clones of a verified one allocate nothing.
+    recovered: OnceCell<Arc<(Digest, Digest)>>,
 }
 
 impl WotsSignature {
-    /// Verifies against a message digest and public-key commitment by
-    /// completing every chain and recomputing the commitment.
-    pub fn verify(&self, msg: &Digest, public_digest: &Digest) -> bool {
-        match self.recover_public(msg) {
-            Some(recovered) => recovered == *public_digest,
-            None => false,
+    fn new(parts: Box<[Digest; LEN]>) -> Self {
+        WotsSignature {
+            parts,
+            recovered: OnceCell::new(),
         }
     }
 
+    /// Verifies against a message digest and public-key commitment by
+    /// completing every chain and recomputing the commitment.
+    pub fn verify(&self, msg: &Digest, public_digest: &Digest) -> bool {
+        self.recover_public(msg) == *public_digest
+    }
+
     /// Recomputes the public-key commitment this signature corresponds
-    /// to for `msg`. Returns `None` if the signature is structurally
-    /// invalid. Exposed for the [`mss`](crate::mss) scheme, whose
+    /// to for `msg`. Exposed for the [`mss`](crate::mss) scheme, whose
     /// verification continues up a Merkle tree from this value.
-    pub fn recover_public(&self, msg: &Digest) -> Option<Digest> {
-        if self.parts.len() != LEN {
-            return None;
+    ///
+    /// The first call records its message and result; a later call
+    /// under the same message returns the recorded result, which is
+    /// what a fresh recovery of the same parts would give.
+    pub fn recover_public(&self, msg: &Digest) -> Digest {
+        let (first_msg, recovered) = **self
+            .recovered
+            .get_or_init(|| Arc::new((*msg, self.complete_chains(msg))));
+        if first_msg == *msg {
+            recovered
+        } else {
+            self.complete_chains(msg)
         }
+    }
+
+    /// Completes every chain from its digit for `msg` and commits to
+    /// the chain ends.
+    fn complete_chains(&self, msg: &Digest) -> Digest {
         let digits = digits_with_checksum(msg);
         let ends = run_chains(std::array::from_fn(|i| {
             (self.parts[i], u32::from(digits[i]), W - 1)
         }));
-        Some(commit(&ends))
+        commit(&ends)
     }
 
     /// Encoded size in bytes (for ledger-size accounting).
@@ -287,19 +320,39 @@ impl WotsSignature {
     }
 }
 
+impl PartialEq for WotsSignature {
+    fn eq(&self, other: &Self) -> bool {
+        self.parts == other.parts
+    }
+}
+
+impl Eq for WotsSignature {}
+
+impl fmt::Debug for WotsSignature {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("WotsSignature")
+            .field("parts", &self.parts)
+            .finish()
+    }
+}
+
+/// Encoded as a `Vec<Digest>` of `LEN` parts.
 impl Encode for WotsSignature {
     fn encode(&self, out: &mut Vec<u8>) {
-        self.parts.encode(out);
+        write_varint(LEN as u64, out);
+        for part in self.parts.iter() {
+            part.encode(out);
+        }
     }
 }
 
 impl Decode for WotsSignature {
     fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        let parts = Vec::<Digest>::decode(input)?;
-        if parts.len() != LEN {
-            return Err(DecodeError::Invalid("wots signature arity"));
-        }
-        Ok(WotsSignature { parts })
+        let parts = Vec::<Digest>::decode(input)?.into_boxed_slice();
+        let parts = parts
+            .try_into()
+            .map_err(|_| DecodeError::Invalid("wots signature arity"))?;
+        Ok(WotsSignature::new(parts))
     }
 }
 
@@ -473,10 +526,68 @@ mod tests {
 
     #[test]
     fn decode_rejects_wrong_arity() {
-        let bad = WotsSignature {
-            parts: vec![Digest::ZERO; 5],
-        };
+        let bad = vec![Digest::ZERO; 5];
         assert!(decode_exact::<WotsSignature>(&bad.encode_to_vec()).is_err());
+    }
+
+    #[test]
+    fn memo_follows_the_message() {
+        let kp = WotsKeypair::from_seed([11u8; 32]);
+        let (msg, other) = (sha256(b"right"), sha256(b"wrong"));
+        let sig = kp.sign(&msg);
+        assert!(sig.verify(&msg, &kp.public_digest()));
+        assert!(!sig.verify(&other, &kp.public_digest()));
+        assert!(sig.verify(&msg, &kp.public_digest()));
+        assert!(!sig.verify(&msg, &WotsKeypair::from_seed([12u8; 32]).public_digest()));
+
+        // Checked first under the wrong message, the memo holds that
+        // message; the right one still recovers in full.
+        let sig = kp.sign(&msg);
+        assert!(!sig.verify(&other, &kp.public_digest()));
+        assert!(sig.verify(&msg, &kp.public_digest()));
+        assert!(!sig.verify(&other, &kp.public_digest()));
+    }
+
+    #[test]
+    fn clones_keep_the_memo_and_decoding_drops_it() {
+        let kp = WotsKeypair::from_seed([13u8; 32]);
+        let msg = sha256(b"memo");
+        let sig = kp.sign(&msg);
+        assert!(sig.recovered.get().is_none());
+        assert!(sig.verify(&msg, &kp.public_digest()));
+        let memo = Some((msg, kp.public_digest()));
+        assert_eq!(sig.recovered.get().map(|m| **m), memo);
+        assert_eq!(sig.clone().recovered.get().map(|m| **m), memo);
+        let decoded: WotsSignature = decode_exact(&sig.encode_to_vec()).unwrap();
+        assert!(decoded.recovered.get().is_none());
+    }
+
+    #[test]
+    fn verify_leaves_bytes_and_equality_unchanged() {
+        let kp = WotsKeypair::from_seed([14u8; 32]);
+        let msg = sha256(b"bytes");
+        let sig = kp.sign(&msg);
+        let unverified = sig.clone();
+        let bytes = sig.encode_to_vec();
+        assert!(sig.verify(&msg, &kp.public_digest()));
+        assert_eq!(sig.encode_to_vec(), bytes);
+        assert_eq!(sig, unverified);
+        assert_eq!(unverified, sig);
+        assert_eq!(decode_exact::<WotsSignature>(&bytes).unwrap(), sig);
+        assert_eq!(format!("{sig:?}"), format!("{unverified:?}"));
+    }
+
+    /// A signature is two pointers: the parts and the memo.
+    /// `chain-gossip` holds ~10k signature copies that are never
+    /// verified: with the memo inline (64 bytes or more) its
+    /// `peak_rss_mb` rose 2.6%, against 0.35% for a memo behind a
+    /// pointer.
+    #[test]
+    fn signature_is_two_pointers() {
+        assert_eq!(
+            std::mem::size_of::<WotsSignature>(),
+            2 * std::mem::size_of::<usize>()
+        );
     }
 
     #[test]

@@ -20,6 +20,8 @@ use dlt_crypto::keys::{Address, PublicKey, Signature};
 use dlt_crypto::sha256::Sha256;
 use dlt_crypto::Digest;
 
+use crate::lattice::{LatticeError, LatticeParams};
+
 /// What a lattice block does to its account chain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BlockKind {
@@ -161,6 +163,29 @@ impl LatticeBlock {
     pub fn size_bytes(&self) -> usize {
         self.encoded_len()
     }
+
+    /// The checks that need no ledger state, in order: the key hashes
+    /// to the account, the work meets the difficulty and the signature
+    /// signs `hash`, this block's [`hash`](LatticeBlock::hash). Work
+    /// and signature are checked as `params` says.
+    /// [`Lattice::process`](crate::lattice::Lattice::process) runs
+    /// them, and a node runs them before it relays a block.
+    pub(crate) fn check_stateless(
+        &self,
+        hash: &Digest,
+        params: &LatticeParams,
+    ) -> Result<(), LatticeError> {
+        if self.account_key.address() != self.account {
+            return Err(LatticeError::BadAccountKey);
+        }
+        if params.verify_work && !self.work_valid(params.work_difficulty_bits) {
+            return Err(LatticeError::BadWork);
+        }
+        if params.verify_signatures && !self.signature.verify(hash, &self.account_key) {
+            return Err(LatticeError::BadSignature);
+        }
+        Ok(())
+    }
 }
 
 /// Computes the block hash from the fields it covers (used both by
@@ -213,6 +238,21 @@ impl Decode for LatticeBlock {
             signature: Signature::decode(input)?,
         })
     }
+}
+
+/// This block with the last part of its WOTS signature flipped in the
+/// encoded bytes: the same hash, so the same signed message, and a
+/// freshly decoded signature that does not verify.
+#[cfg(test)]
+pub(crate) fn with_forged_signature(mut block: LatticeBlock) -> LatticeBlock {
+    let Signature::Mss(sig) = &mut block.signature else {
+        panic!("account blocks are MSS-signed");
+    };
+    let mut bytes = sig.wots_sig.encode_to_vec();
+    let last_part = bytes.len() - 32;
+    bytes[last_part] ^= 1;
+    sig.wots_sig = dlt_crypto::codec::decode_exact(&bytes).expect("same length");
+    block
 }
 
 #[cfg(test)]

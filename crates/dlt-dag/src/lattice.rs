@@ -310,15 +310,7 @@ impl Lattice {
         if self.blocks.contains_key(&hash) {
             return Err(LatticeError::Duplicate);
         }
-        if block.account_key.address() != block.account {
-            return Err(LatticeError::BadAccountKey);
-        }
-        if self.params.verify_work && !block.work_valid(self.params.work_difficulty_bits) {
-            return Err(LatticeError::BadWork);
-        }
-        if self.params.verify_signatures && !block.signature.verify(&hash, &block.account_key) {
-            return Err(LatticeError::BadSignature);
-        }
+        block.check_stateless(&hash, &self.params)?;
 
         let prev_balance = if block.is_first() {
             if self.accounts.contains_key(&block.account) {
@@ -624,6 +616,7 @@ impl Lattice {
 mod tests {
     use super::*;
     use crate::account::NanoAccount;
+    use crate::block::with_forged_signature;
 
     const BITS: u32 = 4;
 
@@ -730,6 +723,22 @@ mod tests {
                            // Recompute work so we hit the signature check, not the work
                            // check (hash changed => work root same, work still fine).
         assert_eq!(lattice.process(send), Err(LatticeError::BadSignature));
+    }
+
+    #[test]
+    fn verified_block_does_not_vouch_for_a_tampered_copy() {
+        let (lattice, mut genesis) = setup(1000);
+        let send = genesis.send(Address::from_label("x"), 1).unwrap();
+        let hash = send.hash();
+        assert!(send.signature.verify(&hash, &send.account_key));
+
+        let forged = with_forged_signature(send.clone());
+        assert_eq!(forged.hash(), hash);
+        assert_eq!(
+            lattice.clone().process(forged),
+            Err(LatticeError::BadSignature)
+        );
+        assert!(send.signature.verify(&hash, &send.account_key));
     }
 
     #[test]

@@ -218,10 +218,18 @@ impl DagNode {
         ctx.metrics().inc(m.votes_cast);
     }
 
-    /// Hears a gossiped `Publish`: dedup on the block record, write
-    /// the record, relay, then apply. Runs once per block per node.
-    /// Takes the shared payload so the flood relay re-shares the
-    /// sender's allocation instead of cloning the block per peer.
+    /// Hears a gossiped `Publish`: dedup on the block record, validate,
+    /// write the record, relay, then apply. Runs once per valid block
+    /// per node. Takes the shared payload so the flood relay re-shares
+    /// the sender's allocation instead of cloning the block per peer.
+    ///
+    /// The stateless checks run on the shared payload, whose signature
+    /// keeps the verdict: the first node to hear the block pays for
+    /// the check, and later checks of the payload or of a clone of it,
+    /// such as the lattice's, share it. A block that fails is counted
+    /// as rejected, and is neither relayed nor recorded, so a valid
+    /// copy with the same hash (which covers neither work nor
+    /// signature) is still heard.
     fn handle_publish(&mut self, ctx: &mut Context<'_, DagMsg>, msg: Payload<DagMsg>) {
         let DagMsg::Publish(block) = &*msg else {
             return;
@@ -230,6 +238,11 @@ impl DagNode {
         let Entry::Vacant(slot) = self.blocks.entry(hash) else {
             return;
         };
+        if block.check_stateless(&hash, self.lattice.params()).is_err() {
+            let m = self.handles();
+            ctx.metrics().inc(m.blocks_rejected);
+            return;
+        }
         slot.insert(BlockRecord {
             heard: Some((Payload::clone(&msg), ctx.now().as_micros())),
             confirmed: false,
@@ -394,6 +407,7 @@ impl SimNode<DagMsg> for DagNode {
 mod tests {
     use super::*;
     use crate::account::NanoAccount;
+    use crate::block::with_forged_signature;
     use dlt_sim::engine::Simulation;
     use dlt_sim::latency::LatencyModel;
     use dlt_sim::time::SimTime;
@@ -637,6 +651,41 @@ mod tests {
         let mut latencies = fx.sim.metrics().samples("dag.confirm_latency_ms").to_vec();
         latencies.sort_by(f64::total_cmp);
         assert_eq!(latencies, [0.0, 100.0]);
+    }
+
+    #[test]
+    fn block_with_a_forged_signature_is_rejected_before_relay() {
+        let mut fx = fixture(9, 4, 10);
+        let send = fx.rep_accounts[0]
+            .send(Address::from_label("x"), 5)
+            .unwrap();
+        let hash = send.hash();
+        let forged = with_forged_signature(send.clone());
+        fx.sim.deliver_at(
+            SimTime::from_millis(1),
+            NodeId(0),
+            NodeId(0),
+            DagMsg::publish(forged),
+        );
+        fx.sim.run_until_idle(SimTime::from_secs(10));
+        assert_eq!(fx.sim.metrics().count("net.messages"), 0, "no relay");
+        assert_eq!(fx.sim.metrics().count("dag.blocks_rejected"), 1);
+        let node = fx.sim.node(NodeId(0));
+        assert!(!node.blocks.contains_key(&hash), "no record");
+        assert!(node.gap_buffer.is_empty());
+
+        // The genuine block has the same hash, and is still heard.
+        fx.sim.deliver_at(
+            SimTime::from_millis(20),
+            NodeId(0),
+            NodeId(0),
+            DagMsg::publish(send),
+        );
+        fx.sim.run_until_idle(SimTime::from_secs(10));
+        for i in 0..4 {
+            assert!(fx.sim.node(NodeId(i)).is_confirmed(&hash), "node {i}");
+        }
+        assert_eq!(fx.sim.metrics().count("dag.blocks_rejected"), 1);
     }
 
     #[test]

@@ -353,9 +353,9 @@ mod tests {
 
     #[test]
     fn percentile_matches_full_sort_on_mixed_magnitudes() {
-        // Values spread across buckets, signs, and magnitudes; the
-        // histogram-guided quantile must agree with a full sort at
-        // every nearest-rank position.
+        // Values spread across signs and magnitudes, with repeats;
+        // the selected quantile must agree with a full sort at every
+        // nearest-rank position.
         let values = [
             -1e9, -3.25, -3.24, -0.5, 0.0, 1e-12, 0.5, 1.0, 1.0, 2.0, 7.75, 7.76, 1e6, 1e6, 3e18,
         ];
