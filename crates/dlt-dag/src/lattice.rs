@@ -293,9 +293,31 @@ impl Lattice {
         self.rep_weights.get(representative).copied().unwrap_or(0)
     }
 
+    /// The representatives that hold voting weight in this ledger.
+    pub(crate) fn weighted_representatives(&self) -> impl Iterator<Item = &Address> {
+        self.rep_weights
+            .iter()
+            .filter(|(_, weight)| **weight > 0)
+            .map(|(rep, _)| rep)
+    }
+
     /// Whether a block is cemented (irreversible, §IV-B).
     pub fn is_cemented(&self, hash: &Digest) -> bool {
         self.cemented.contains(hash)
+    }
+
+    /// The block occupying the chain position `(account, previous)`:
+    /// the successor of `previous`, or the account's first block when
+    /// `previous` is zero. `None` when the position is empty or
+    /// `previous` belongs to another account.
+    pub(crate) fn occupier(&self, account: &Address, previous: &Digest) -> Option<Digest> {
+        let hash = if previous.is_zero() {
+            self.accounts.get(account)?.open
+        } else {
+            *self.successors.get(previous)?
+        };
+        let block = self.blocks.get(&hash)?;
+        (block.account == *account).then_some(hash)
     }
 
     /// Validates and appends one block to its account chain.
@@ -905,6 +927,26 @@ mod tests {
         lattice.cement(&s2_hash).unwrap();
         assert!(lattice.is_cemented(&s1_hash));
         assert!(lattice.is_cemented(&s2_hash));
+    }
+
+    #[test]
+    fn occupier_finds_the_block_at_a_chain_position() {
+        let (mut lattice, mut genesis) = setup(1000);
+        let account = genesis.address();
+        let open = lattice.genesis();
+        let send = genesis.send(Address::from_label("a"), 10).unwrap();
+        let send_hash = lattice.process(send).unwrap();
+        assert_eq!(lattice.occupier(&account, &Digest::ZERO), Some(open));
+        assert_eq!(lattice.occupier(&account, &open), Some(send_hash));
+        // The head has no successor yet.
+        assert_eq!(lattice.occupier(&account, &send_hash), None);
+        // A position under another account is not this chain's.
+        let stranger = Address::from_label("stranger");
+        assert_eq!(lattice.occupier(&stranger, &open), None);
+        assert_eq!(lattice.occupier(&stranger, &Digest::ZERO), None);
+        // A rolled-back block no longer occupies its position.
+        lattice.rollback(&send_hash).unwrap();
+        assert_eq!(lattice.occupier(&account, &open), None);
     }
 
     #[test]

@@ -7,10 +7,13 @@
 //! vote-signature attached … the network automatically broadcasts
 //! consensus information, while the transaction is making its way
 //! through the network"), and votes for the **first-seen** candidate
-//! when it detects a fork. A block is *confirmed* once votes reaching
-//! the quorum accumulate (§IV-B: "a majority vote for the send and
-//! receive transactions"); nodes that adopted the losing side of a fork
-//! roll it back and adopt the winner. Confirmed blocks are cemented.
+//! when it detects a fork. If every representative has voted and the
+//! fork is still split below the quorum, representatives on a trailing
+//! candidate move to the leader. A block is *confirmed* once votes
+//! reaching the quorum accumulate (§IV-B: "a majority vote for the send
+//! and receive transactions"); nodes that adopted the losing side of a
+//! fork roll it back and adopt the winner. Confirmed blocks are
+//! cemented.
 
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
@@ -23,7 +26,7 @@ use dlt_sim::network::NodeId;
 
 use crate::block::LatticeBlock;
 use crate::lattice::{Lattice, LatticeError, LatticeParams};
-use crate::voting::{ElectionManager, ElectionRoot, Vote};
+use crate::voting::{Election, ElectionManager, ElectionRoot, Vote};
 
 /// The gossip alphabet of the DAG network.
 #[derive(Debug, Clone)]
@@ -77,6 +80,7 @@ struct DagMetrics {
     confirmed_unadoptable: CounterId,
     blocks_confirmed: CounterId,
     vote_flips: CounterId,
+    votes_refused: CounterId,
     confirm_latency_ms: SeriesId,
 }
 
@@ -92,6 +96,7 @@ impl DagMetrics {
             confirmed_unadoptable: metrics.counter("dag.confirmed_unadoptable"),
             blocks_confirmed: metrics.counter("dag.blocks_confirmed"),
             vote_flips: metrics.counter("dag.vote_flips"),
+            votes_refused: metrics.counter("dag.votes_refused"),
             confirm_latency_ms: metrics.series("dag.confirm_latency_ms"),
         }
     }
@@ -197,21 +202,39 @@ impl DagNode {
         (block.account, block.previous)
     }
 
-    /// Casts this node's representative vote (if it is one) and
-    /// gossips it.
+    /// Whether `vote` can still count on this node. It cannot when its
+    /// representative has no weight in this node's lattice, or when
+    /// its root is settled here: the block occupying the root is one
+    /// this node confirmed and has cemented. A vote that cannot count
+    /// is neither heard, tallied nor relayed, and opens no election.
+    ///
+    /// Cemented alone is not settled: cementing a block also cements
+    /// its ancestors, whose own elections may still be open here.
+    fn admits(&self, vote: &Vote) -> bool {
+        if self.lattice.weight(&vote.representative) == 0 {
+            return false;
+        }
+        let (account, previous) = vote.root;
+        !self
+            .lattice
+            .occupier(&account, &previous)
+            .is_some_and(|hash| self.is_confirmed(&hash) && self.lattice.is_cemented(&hash))
+    }
+
+    /// Casts this node's representative vote (if it is one, and the
+    /// vote can count) and gossips it.
     fn cast_vote(&mut self, ctx: &mut Context<'_, DagMsg>, root: ElectionRoot, candidate: Digest) {
         let Some(rep) = self.config.representative else {
             return;
         };
-        let weight = self.lattice.weight(&rep);
-        if weight == 0 {
-            return;
-        }
         let vote = Vote {
             representative: rep,
             root,
             candidate,
         };
+        if !self.admits(&vote) {
+            return;
+        }
         self.handle_vote(ctx, vote);
         ctx.broadcast(DagMsg::Vote(vote));
         let m = self.handles();
@@ -325,13 +348,54 @@ impl DagNode {
             ctx.metrics().add(m.vote_flips, flips);
             ctx.trace_mark("dag.vote_flip", flips);
         }
-        if let Some(winner) = winner {
-            self.apply_confirmation(ctx, vote.root, winner);
+        match winner {
+            Some(winner) => self.apply_confirmation(ctx, vote.root, winner),
+            None => self.break_stalemate(ctx, vote.root),
+        }
+    }
+
+    /// Moves this node's representative vote to the leading candidate
+    /// once the election for `root` is stuck: two or more candidates
+    /// split the weight, none reached the quorum, and every
+    /// representative holding weight in this node's lattice has voted,
+    /// so no vote still to come can decide it. Nano's representatives
+    /// likewise re-vote for the candidate with the most weight.
+    ///
+    /// Every node that sees the stalemate has heard the same first
+    /// votes, so each representative on a trailing candidate moves to
+    /// the same leader (up to differences in the weights nodes see),
+    /// which then holds all the cast weight. A representative already
+    /// on the leader never moves, so a trailing candidate gains no
+    /// weight and cannot be confirmed anywhere.
+    fn break_stalemate(&mut self, ctx: &mut Context<'_, DagMsg>, root: ElectionRoot) {
+        let Some(rep) = self.config.representative else {
+            return;
+        };
+        let Some(election) = self.elections.election(&root) else {
+            return;
+        };
+        if election.candidate_count() < 2 || election.confirmed().is_some() {
+            return;
+        }
+        let Some((leader, _)) = election.leader() else {
+            return;
+        };
+        if election.backing(&rep).is_none_or(|backed| backed == leader) {
+            return;
+        }
+        if self
+            .lattice
+            .weighted_representatives()
+            .all(|r| election.backing(r).is_some())
+        {
+            self.cast_vote(ctx, root, leader);
         }
     }
 
     /// Adopts and cements a confirmed winner, rolling back a locally
-    /// adopted losing branch if necessary.
+    /// adopted losing branch if necessary. Once the winner is cemented
+    /// the root's election is dropped: later votes for the root are
+    /// refused ([`DagNode::admits`]).
     fn apply_confirmation(
         &mut self,
         ctx: &mut Context<'_, DagMsg>,
@@ -343,16 +407,7 @@ impl DagNode {
             // We adopted the loser (or nothing). Roll back whatever
             // occupies the disputed position and install the winner.
             let (account, previous) = root;
-            let occupier = self.lattice.account(&account).and_then(|_| {
-                // Find the block at this position: the successor of
-                // `previous` on the account chain.
-                self.lattice
-                    .chain_of(&account)
-                    .iter()
-                    .find(|b| b.previous == previous)
-                    .map(|b| b.hash())
-            });
-            if let Some(loser) = occupier {
+            if let Some(loser) = self.lattice.occupier(&account, &previous) {
                 if self.lattice.rollback(&loser).is_ok() {
                     ctx.metrics().inc(m.losing_branches_rolled_back);
                 }
@@ -376,8 +431,8 @@ impl DagNode {
             let latency_ms = (ctx.now().as_micros().saturating_sub(arrived)) as f64 / 1e3;
             ctx.metrics().record(m.confirm_latency_ms, latency_ms);
         }
-        if self.config.cement_on_confirm {
-            let _ = self.lattice.cement(&winner);
+        if self.config.cement_on_confirm && self.lattice.cement(&winner).is_ok() {
+            self.elections.forget(&root);
         }
     }
 }
@@ -392,11 +447,27 @@ impl SimNode<DagMsg> for DagNode {
             DagMsg::Publish(_) => self.handle_publish(ctx, msg),
             DagMsg::Vote(vote) => {
                 let vote = *vote;
+                if !self.admits(&vote) {
+                    let m = self.handles();
+                    ctx.metrics().inc(m.votes_refused);
+                    return;
+                }
                 if !self.elections.first_hearing(&vote) {
                     return;
                 }
-                // Relay the shared payload (no per-peer deep clone).
-                ctx.broadcast(Payload::clone(&msg));
+                // Relay the shared payload (no per-peer deep clone)
+                // only while the root is undecided here. The relay
+                // comes before the tally, so the vote that completes
+                // this node's quorum is still relayed: every peer
+                // hears at least the quorum this node decided on.
+                let decided = self
+                    .elections
+                    .election(&vote.root)
+                    .and_then(Election::confirmed)
+                    .is_some();
+                if !decided {
+                    ctx.broadcast(Payload::clone(&msg));
+                }
                 self.handle_vote(ctx, vote);
             }
         }
@@ -411,6 +482,8 @@ mod tests {
     use dlt_sim::engine::Simulation;
     use dlt_sim::latency::LatencyModel;
     use dlt_sim::time::SimTime;
+    use dlt_testkit::prop;
+    use dlt_testkit::prop::Gen;
 
     const BITS: u32 = 2;
 
@@ -785,6 +858,372 @@ mod tests {
         assert_eq!(deliver(&mut fx, DagMsg::publish(send)), 5, "publish + vote");
         assert_eq!(deliver(&mut fx, own.clone()), 6, "own vote's echo");
         assert_eq!(deliver(&mut fx, own), 6, "second echo");
+    }
+
+    /// A vote by `rep` for `block` at its root.
+    fn vote_for(rep: &NanoAccount, block: &LatticeBlock) -> DagMsg {
+        DagMsg::Vote(Vote {
+            representative: rep.address(),
+            root: DagNode::election_root(block),
+            candidate: block.hash(),
+        })
+    }
+
+    #[test]
+    fn zero_weight_vote_is_refused_before_it_is_heard() {
+        let mut fx = fixture(10, 4, 10);
+        let root = (Address::from_label("made-up"), Digest::ZERO);
+        fx.sim.deliver_at(
+            SimTime::from_millis(1),
+            NodeId(0),
+            NodeId(0),
+            DagMsg::Vote(Vote {
+                representative: Address::from_label("nobody"),
+                root,
+                candidate: Address::from_label("candidate").0,
+            }),
+        );
+        fx.sim.run_until_idle(SimTime::from_secs(10));
+        let node = fx.sim.node(NodeId(0));
+        assert!(node.elections().election(&root).is_none(), "no election");
+        assert_eq!(node.elections().live_count(), 0);
+        assert_eq!(fx.sim.metrics().count("net.messages"), 0, "no relay");
+        assert_eq!(fx.sim.metrics().count("dag.votes_refused"), 1);
+    }
+
+    #[test]
+    fn a_vote_heard_after_the_local_decision_is_not_relayed() {
+        // Node 0 relays to node 1 only, and node 1 has no peers, so
+        // every scheduled message is one send by node 0. Node 0 does
+        // not cement, so its decided election stays open and only the
+        // relay rule keeps the last vote from being relayed.
+        let mut fx = fixture(11, 4, 10);
+        fx.sim
+            .network_mut()
+            .set_topology(vec![vec![NodeId(1)], vec![], vec![], vec![]]);
+        fx.sim.node_mut(NodeId(0)).config.cement_on_confirm = false;
+        let send = fx.rep_accounts[0]
+            .send(Address::from_label("x"), 5)
+            .unwrap();
+        let hash = send.hash();
+        let votes: Vec<DagMsg> = fx.rep_accounts[1..]
+            .iter()
+            .map(|rep| vote_for(rep, &send))
+            .collect();
+        let mut at = 0;
+        let mut deliver = |fx: &mut Fixture, msg: DagMsg| {
+            at += 100;
+            fx.sim
+                .deliver_at(SimTime::from_millis(at), NodeId(0), NodeId(0), msg);
+            fx.sim.run_until_idle(SimTime::from_secs(10));
+            fx.sim.metrics().count("net.messages")
+        };
+        // Each rep holds a fifth of the supply; the quorum is half.
+        assert_eq!(
+            deliver(&mut fx, DagMsg::publish(send)),
+            2,
+            "publish + own vote"
+        );
+        assert_eq!(deliver(&mut fx, votes[0].clone()), 3, "undecided");
+        assert!(!fx.sim.node(NodeId(0)).is_confirmed(&hash));
+        assert_eq!(
+            deliver(&mut fx, votes[1].clone()),
+            4,
+            "completes the quorum"
+        );
+        assert!(fx.sim.node(NodeId(0)).is_confirmed(&hash));
+        assert_eq!(
+            deliver(&mut fx, votes[2].clone()),
+            4,
+            "decided: not relayed"
+        );
+    }
+
+    #[test]
+    fn cemented_roots_hold_no_election_and_refuse_late_votes() {
+        let mut fx = fixture(12, 4, 10);
+        // A fork of the first send's position, held back until the
+        // position is cemented.
+        let mut fork_side = fx.rep_accounts[0].fork_state();
+        let sends: Vec<LatticeBlock> = (0..3)
+            .map(|i| {
+                fx.rep_accounts[0]
+                    .send(Address::from_label(&format!("to-{i}")), 5)
+                    .unwrap()
+            })
+            .collect();
+        let late_fork = fork_side.send(Address::from_label("late"), 5).unwrap();
+        for (i, send) in sends.iter().enumerate() {
+            fx.sim.deliver_at(
+                SimTime::from_millis(1 + 500 * i as u64),
+                NodeId(0),
+                NodeId(0),
+                DagMsg::publish(send.clone()),
+            );
+        }
+        fx.sim.run_until_idle(SimTime::from_secs(10));
+        for i in 0..4 {
+            let node = fx.sim.node(NodeId(i));
+            for send in &sends {
+                assert!(node.is_confirmed(&send.hash()), "node {i} confirmed");
+                assert!(
+                    node.lattice().is_cemented(&send.hash()),
+                    "node {i} cemented"
+                );
+                let root = DagNode::election_root(send);
+                assert!(node.elections().election(&root).is_none(), "node {i}");
+            }
+        }
+
+        // A late vote for a cemented root: refused, not relayed.
+        let messages = fx.sim.metrics().count("net.messages");
+        let refused = fx.sim.metrics().count("dag.votes_refused");
+        let late_vote = vote_for(&fx.rep_accounts[1], &sends[0]);
+        fx.sim
+            .deliver_at(SimTime::from_secs(11), NodeId(0), NodeId(0), late_vote);
+        fx.sim.run_until_idle(SimTime::from_secs(20));
+        assert_eq!(fx.sim.metrics().count("net.messages"), messages);
+        assert_eq!(fx.sim.metrics().count("dag.votes_refused"), refused + 1);
+
+        // A late fork is a valid block, so it is relayed; but no node
+        // votes on the cemented position or opens an election for it.
+        let votes_cast = fx.sim.metrics().count("dag.votes_cast");
+        fx.sim.deliver_at(
+            SimTime::from_secs(21),
+            NodeId(0),
+            NodeId(0),
+            DagMsg::publish(late_fork),
+        );
+        fx.sim.run_until_idle(SimTime::from_secs(30));
+        assert_eq!(fx.sim.metrics().count("dag.forks_detected"), 4);
+        assert_eq!(fx.sim.metrics().count("dag.votes_cast"), votes_cast);
+        assert_eq!(fx.sim.metrics().count("net.messages"), messages + 12);
+        let root = DagNode::election_root(&sends[0]);
+        for i in 0..4 {
+            let node = fx.sim.node(NodeId(i));
+            assert!(node.elections().election(&root).is_none(), "node {i}");
+            assert!(node.is_confirmed(&sends[0].hash()), "node {i}");
+        }
+    }
+
+    #[test]
+    fn every_node_on_a_line_confirms_every_block() {
+        // 0 – 1 – 2 – 3: each vote reaches the far end only through the
+        // relays of the nodes between, which stop at their decision.
+        let mut fx = fixture(13, 4, 10);
+        fx.sim.network_mut().set_topology(vec![
+            vec![NodeId(1)],
+            vec![NodeId(0), NodeId(2)],
+            vec![NodeId(1), NodeId(3)],
+            vec![NodeId(2)],
+        ]);
+        let mut hashes = Vec::new();
+        for i in 0..3u64 {
+            for (account, home) in [(0, 0), (3, 3)] {
+                let send = fx.rep_accounts[account]
+                    .send(Address::from_label("line"), 5)
+                    .unwrap();
+                hashes.push(send.hash());
+                fx.sim.deliver_at(
+                    SimTime::from_millis(1 + 300 * i),
+                    NodeId(home),
+                    NodeId(home),
+                    DagMsg::publish(send),
+                );
+            }
+        }
+        fx.sim.run_until_idle(SimTime::from_secs(10));
+        for i in 0..4 {
+            let node = fx.sim.node(NodeId(i));
+            for hash in &hashes {
+                assert!(node.is_confirmed(hash), "node {i}");
+            }
+            assert_eq!(node.elections().live_count(), 0, "node {i}");
+        }
+    }
+
+    #[test]
+    fn a_split_below_the_quorum_moves_to_the_leader() {
+        // All weight sits with the four representatives: genesis sends
+        // its own share to an account that never receives it. A double
+        // spend heard first by nodes 0 and 1 on one side and 2 and 3 on
+        // the other splits it 400,000 to 399,900, both short of the
+        // 500,000 quorum. Without a re-vote it stays split forever.
+        let mut fx = fixture(17, 4, 10);
+        let drain = fx
+            .genesis
+            .send(Address::from_label("sink"), 200_000)
+            .unwrap();
+        for i in 0..4 {
+            fx.sim.node_mut(NodeId(i)).bootstrap(drain.clone());
+        }
+        let mut attacker = fx.rep_accounts[3].clone();
+        let mut attacker_fork = attacker.fork_state();
+        let a = attacker.send(Address::from_label("merchant"), 100).unwrap();
+        let b = attacker_fork
+            .send(Address::from_label("self"), 100)
+            .unwrap();
+        let (a_hash, b_hash) = (a.hash(), b.hash());
+        for (home, block) in [(0, &a), (1, &a), (2, &b), (3, &b)] {
+            fx.sim.deliver_at(
+                SimTime::from_millis(1),
+                NodeId(home),
+                NodeId(home),
+                DagMsg::publish(block.clone()),
+            );
+        }
+        // Node 2 hears every first vote before `a` itself: its move
+        // gives `a` the quorum there at once, so it rolls `b` back
+        // before it holds `a`, and adopts `a` when it arrives.
+        for (rep, block) in [(0, &a), (1, &a), (3, &b)] {
+            fx.sim.deliver_at(
+                SimTime::from_millis(2),
+                NodeId(rep),
+                NodeId(2),
+                vote_for(&fx.rep_accounts[rep], block),
+            );
+        }
+        fx.sim.run_until_idle(SimTime::from_secs(10));
+        for i in 0..4 {
+            let node = fx.sim.node(NodeId(i));
+            assert!(node.is_confirmed(&a_hash), "node {i} confirmed the leader");
+            assert!(node.lattice().is_cemented(&a_hash), "node {i}");
+            assert!(!node.lattice().contains(&b_hash), "node {i} rolled back");
+            assert!(!node.is_confirmed(&b_hash), "node {i}");
+        }
+        // One vote per node on acceptance, one move by each of the two
+        // representatives behind `b`, and one vote on the fork by each
+        // node that held a block when the other arrived: all but node 2,
+        // which accepts `a` instead (one more acceptance vote).
+        assert_eq!(fx.sim.metrics().count("dag.votes_cast"), 4 + 4 + 2);
+        assert_eq!(fx.sim.metrics().count("dag.losing_branches_rolled_back"), 2);
+    }
+
+    /// Representatives run by honest nodes; node `HONEST` is the
+    /// adversarial peer, which holds the keys of account `HONEST` and
+    /// votes as no one.
+    const HONEST: usize = 3;
+
+    /// One message of the adversarial peer's stream in
+    /// [`honest_nodes_neither_relay_nor_keep_an_adversarial_stream`].
+    fn attack(g: &mut Gen, fx: &Fixture, published: &[LatticeBlock], sent: &[DagMsg]) -> DagMsg {
+        let label =
+            |kind: &str, g: &mut Gen| Address::from_label(&format!("{kind}-{}", g.u64_below(4)));
+        match g.u64_below(5) {
+            // A zero-weight vote on a made-up root.
+            0 => DagMsg::Vote(Vote {
+                representative: label("sybil", g),
+                root: (label("account", g), label("previous", g).0),
+                candidate: label("candidate", g).0,
+            }),
+            // A replay of an earlier message of the stream.
+            1 if !sent.is_empty() => sent[g.usize_in(0, sent.len())].clone(),
+            // An honest representative's vote, heard late: its root is
+            // cemented.
+            2 => {
+                let rep = &fx.rep_accounts[g.usize_in(0, HONEST)];
+                vote_for(rep, &published[g.usize_in(0, published.len())])
+            }
+            // A forged copy of a block the network already holds.
+            3 => DagMsg::publish(with_forged_signature(
+                published[g.usize_in(0, published.len())].clone(),
+            )),
+            // A new block of the adversary's own account, with a forged
+            // signature.
+            _ => {
+                let block = fx.rep_accounts[HONEST]
+                    .fork_state()
+                    .send(label("mule", g), g.u64_in(1, 50))
+                    .unwrap();
+                DagMsg::publish(with_forged_signature(block))
+            }
+        }
+    }
+
+    prop! {
+        /// The first cut of the adversarial gossip harness. In rounds,
+        /// the honest nodes settle a few sends, then one peer streams
+        /// zero-weight votes on made-up roots, replays, late votes for
+        /// cemented roots and blocks with forged signatures. After each
+        /// stream: supply is conserved, each root has at most one
+        /// winner and it is the same on every node, no honest node has
+        /// an election for any root the stream voted on, and no honest
+        /// node relayed any of it.
+        fn honest_nodes_neither_relay_nor_keep_an_adversarial_stream(g, cases = 8) {
+            let adversary = NodeId(HONEST);
+            let mut fx = fixture(g.any_u64(), HONEST + 1, 10);
+            fx.sim.node_mut(adversary).config.representative = None;
+            let mut published: Vec<LatticeBlock> = Vec::new();
+            // Every block any node may have heard, as (root, hash).
+            let mut candidates: Vec<(ElectionRoot, Digest)> = Vec::new();
+            let mut sent: Vec<DagMsg> = Vec::new();
+            for _round in 0..2 {
+                let start = fx.sim.now();
+                for i in 0..g.usize_in(1, 4) {
+                    let account = g.usize_in(0, HONEST);
+                    let block = fx.rep_accounts[account]
+                        .send(Address::from_label("shop"), g.u64_in(1, 50))
+                        .unwrap();
+                    let delay = SimTime::from_millis(100 * (i as u64 + 1));
+                    let home = NodeId(g.usize_in(0, HONEST));
+                    let msg = DagMsg::publish(block.clone());
+                    fx.sim.deliver_at(start.saturating_add(delay), home, home, msg);
+                    candidates.push((DagNode::election_root(&block), block.hash()));
+                    published.push(block);
+                }
+                fx.sim.run_until_idle(start.saturating_add(SimTime::from_secs(10)));
+                for i in 0..HONEST {
+                    let node = fx.sim.node(NodeId(i));
+                    assert!(published.iter().all(|b| node.is_confirmed(&b.hash())), "node {i}");
+                }
+
+                let messages = fx.sim.metrics().count("net.messages");
+                let start = fx.sim.now();
+                let mut voted_roots = Vec::new();
+                for i in 0..g.usize_in(1, 13) {
+                    let msg = attack(g, &fx, &published, &sent);
+                    match &msg {
+                        DagMsg::Vote(vote) => voted_roots.push(vote.root),
+                        DagMsg::Publish(block) => {
+                            // A forged copy shares its original's hash.
+                            let candidate = (DagNode::election_root(block), block.hash());
+                            if !candidates.contains(&candidate) {
+                                candidates.push(candidate);
+                            }
+                        }
+                    }
+                    let at = start.saturating_add(SimTime::from_millis(i as u64 + 1));
+                    let to = NodeId(g.usize_in(0, HONEST));
+                    fx.sim.deliver_at(at, adversary, to, msg.clone());
+                    sent.push(msg);
+                }
+                fx.sim.run_until_idle(start.saturating_add(SimTime::from_secs(10)));
+
+                assert_eq!(fx.sim.metrics().count("net.messages"), messages, "stream relayed");
+                let winners = |node: &DagNode| -> Vec<(ElectionRoot, Digest)> {
+                    candidates
+                        .iter()
+                        .filter(|(_, hash)| node.is_confirmed(hash))
+                        .copied()
+                        .collect()
+                };
+                let first = winners(fx.sim.node(NodeId(0)));
+                let mut roots: Vec<ElectionRoot> = first.iter().map(|&(root, _)| root).collect();
+                roots.sort();
+                roots.dedup();
+                assert_eq!(roots.len(), first.len(), "one winner per root");
+                for i in 0..HONEST {
+                    let node = fx.sim.node(NodeId(i));
+                    assert_eq!(winners(node), first, "node {i} agrees");
+                    let lattice = node.lattice();
+                    assert_eq!(lattice.circulating_total(), lattice.total_supply());
+                    assert_eq!(node.elections().live_count(), 0, "node {i}");
+                    for root in &voted_roots {
+                        assert!(node.elections().election(root).is_none(), "node {i}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -45,7 +45,10 @@ pub struct Election {
     /// Which candidate each representative currently backs.
     voted: BTreeMap<Address, Digest>,
     /// Every `(representative, candidate)` pair this node has heard by
-    /// gossip, sorted: the relay dedup record. Exact, never pruned.
+    /// gossip, sorted: the relay dedup record. Exact while the election
+    /// lives; it goes with the election once the root is cemented,
+    /// after which votes for the root are refused before they are
+    /// heard.
     heard: Vec<(Address, Digest)>,
     confirmed: Option<Digest>,
 }
@@ -101,6 +104,11 @@ impl Election {
             .iter()
             .max_by_key(|(hash, weight)| (**weight, std::cmp::Reverse(**hash)))
             .map(|(hash, weight)| (*hash, *weight))
+    }
+
+    /// The candidate `representative` currently backs, if it voted.
+    pub(crate) fn backing(&self, representative: &Address) -> Option<Digest> {
+        self.voted.get(representative).copied()
     }
 
     /// Total weight cast across all candidates.
@@ -189,13 +197,22 @@ impl ElectionManager {
     }
 
     /// Whether this is the first time gossip carried `vote`: the relay
-    /// dedup. A vote this node casts itself is tallied without being
-    /// heard, so its first echo still counts as a first hearing.
+    /// dedup, opening the root's election if it has none. A vote this
+    /// node casts itself is tallied without being heard, so its first
+    /// echo still counts as a first hearing. The node refuses a vote
+    /// that cannot count (zero weight, or a cemented root) before
+    /// asking, so such a vote opens no election.
     pub(crate) fn first_hearing(&mut self, vote: &Vote) -> bool {
         self.elections
             .entry(vote.root)
             .or_default()
             .hear(vote.representative, vote.candidate)
+    }
+
+    /// Drops the election for a root whose winner is cemented, with its
+    /// tallies and dedup record: no later vote can change it.
+    pub(crate) fn forget(&mut self, root: &ElectionRoot) {
+        self.elections.remove(root);
     }
 
     /// Records a vote and attempts confirmation against
