@@ -371,7 +371,7 @@ impl StateDb {
             tx_id: tx.id(),
             success: true,
             gas_used: tx.gas_used(),
-            cumulative_gas: 0, // filled by the block applier
+            cumulative_gas: 0, // filled by `close_block`
         };
         Ok((new_root, receipt))
     }
@@ -404,14 +404,11 @@ impl StateDb {
             if gas_limit > 0 && gas_total > gas_limit {
                 return Err(AccountError::BlockGasExceeded);
             }
-            let (new_root, mut receipt) = self.apply_tx(root, tx, producer)?;
-            receipt.cumulative_gas = gas_total;
+            let (new_root, receipt) = self.apply_tx(root, tx, producer)?;
             root = new_root;
             receipts.push(receipt);
         }
-        if block_reward > 0 {
-            root = self.credit(root, producer, block_reward);
-        }
+        root = self.close_block(root, &mut receipts, producer, block_reward);
         if !block.header.state_root.is_zero() && block.header.state_root != root {
             return Err(AccountError::StateRootMismatch);
         }
@@ -421,6 +418,28 @@ impl StateDb {
             return Err(AccountError::ReceiptsRootMismatch);
         }
         Ok((root, receipts))
+    }
+
+    /// Ends a block's execution, for its validator and its producer
+    /// alike: numbers the receipts' cumulative gas and credits the block
+    /// reward to `producer`. Returns the post-state root.
+    pub(crate) fn close_block(
+        &mut self,
+        root: Digest,
+        receipts: &mut [Receipt],
+        producer: &Address,
+        block_reward: u64,
+    ) -> Digest {
+        let mut gas_total = 0u64;
+        for receipt in receipts {
+            gas_total += receipt.gas_used;
+            receipt.cumulative_gas = gas_total;
+        }
+        if block_reward > 0 {
+            self.credit(root, producer, block_reward)
+        } else {
+            root
+        }
     }
 
     /// Direct access to the underlying trie (pruning, fast sync,

@@ -17,9 +17,8 @@ use dlt_crypto::Digest;
 
 use crate::block::{Block, BlockHeader, LedgerTx};
 use crate::chain::{ChainStore, InsertOutcome};
-use crate::difficulty::RetargetParams;
 use crate::mempool::Mempool;
-use crate::utxo::{BlockUndo, UtxoError, UtxoLedger, UtxoTx};
+use crate::utxo::{BlockStage, BlockUndo, UtxoError, UtxoLedger, UtxoTx};
 
 /// Chain parameters (defaults follow the paper's Bitcoin description).
 #[derive(Debug, Clone)]
@@ -28,9 +27,6 @@ pub struct BitcoinParams {
     pub subsidy: u64,
     /// Maximum block size in bytes ("a maximum block size of 1 MB").
     pub max_block_bytes: u64,
-    /// Difficulty retargeting ("a block is mined roughly every 10
-    /// minutes").
-    pub retarget: RetargetParams,
     /// Blocks to wait before treating a transaction as confirmed
     /// ("six for Bitcoin").
     pub confirmation_depth: u64,
@@ -43,7 +39,6 @@ impl Default for BitcoinParams {
         BitcoinParams {
             subsidy: 50,
             max_block_bytes: 1_000_000,
-            retarget: RetargetParams::bitcoin_like(),
             confirmation_depth: 6,
             mempool_capacity: 300_000,
         }
@@ -180,36 +175,26 @@ impl BitcoinChain {
         let parent = self.chain.header(&parent_id).expect("tip exists");
         let height = parent.height + 1;
 
-        // Select txs; drop any that no longer apply (e.g. inputs spent
-        // by a reorg) instead of failing the whole block.
-        let mut scratch = self.ledger.clone();
-        let mut txs = vec![UtxoTx::coinbase(height, 0, miner)]; // placeholder
+        // Stage the fee-ordered candidates on the active ledger with the
+        // check the block must pass; evict any that no longer apply
+        // (e.g. inputs spent by a reorg) instead of failing the block.
+        let mut stage = BlockStage::default();
+        let mut txs = Vec::new();
         let mut fees = 0u64;
         let candidates = self
             .mempool
             .select_for_block(self.params.max_block_bytes.saturating_sub(200));
         for tx in candidates {
-            let mut trial = Block::new(
-                BlockHeader {
-                    parent: parent_id,
-                    height,
-                    ..self.header_template(timestamp_micros)
-                },
-                vec![UtxoTx::coinbase(height, 0, miner), tx],
-            );
-            // Validate the candidate alone on the scratch ledger state.
-            let valid = scratch.apply_block(&trial, 0).is_ok();
-            // Take the checked transfer back out: its signatures keep
-            // their verdicts, so the mined block's check shares them.
-            let tx = trial.txs.pop().expect("the trial holds the candidate");
-            if valid {
-                fees += tx.fee();
-                txs.push(tx);
-            } else {
-                self.mempool.remove_confirmed([tx.id()]);
+            match self.ledger.stage_tx(&mut stage, &tx) {
+                Ok(fee) => {
+                    fees += fee;
+                    txs.push(tx);
+                }
+                Err(_) => self.mempool.remove_confirmed([tx.id()]),
             }
         }
-        txs[0] = UtxoTx::coinbase(height, self.params.subsidy + fees, miner);
+        let coinbase = UtxoTx::coinbase(height, self.params.subsidy + fees, miner);
+        txs.insert(0, coinbase);
 
         let header = BlockHeader {
             parent: parent_id,
@@ -517,6 +502,75 @@ mod tests {
         // Not everything fit.
         assert!(!chain.mempool().is_empty(), "backlog remains");
         assert!(chain.ledger().balance(&to) < 30);
+    }
+
+    #[test]
+    fn mined_block_ids_are_pinned() {
+        // Two wallets on one seed hold the same key, so `twin` can sign
+        // a second spend of `wallet`'s funded output.
+        let mut wallet = Wallet::new(21);
+        let mut twin = Wallet::new(21);
+        let mut forger = Wallet::new(22);
+        let funded = wallet.new_address();
+        assert_eq!(twin.new_address(), funded);
+        let forged = forger.new_address();
+        let mut chain = BitcoinChain::new(
+            BitcoinParams::default(),
+            &[(funded, 1_000), (forged, 1_000)],
+        );
+        let ledger = chain.ledger().clone();
+
+        let pay = wallet
+            .build_transfer(&ledger, Address::from_label("shop"), 100, 40)
+            .unwrap();
+        let double_spend = twin
+            .build_transfer(&ledger, Address::from_label("thief"), 100, 20)
+            .unwrap();
+        let mut bad_signature = forger
+            .build_transfer(&ledger, Address::from_label("x"), 100, 30)
+            .unwrap();
+        bad_signature.outputs[0].recipient = Address::from_label("y");
+        // The child spends `pay`'s change, which only a ledger holding
+        // `pay` shows to the wallet.
+        let mut with_pay = ledger.clone();
+        let header = BlockHeader {
+            height: 1,
+            ..chain.header_template(0)
+        };
+        with_pay
+            .apply_block(
+                &Block::new(
+                    header,
+                    vec![UtxoTx::coinbase(1, 0, Address::ZERO), pay.clone()],
+                ),
+                0,
+            )
+            .unwrap();
+        let child = wallet
+            .build_transfer(&with_pay, Address::from_label("cafe"), 10, 1)
+            .unwrap();
+        assert_eq!(child.inputs[0].outpoint.txid, pay.id());
+        for tx in [&pay, &double_spend, &bad_signature, &child] {
+            assert!(chain.submit_tx(tx.clone()));
+        }
+
+        let miner = Address::from_label("miner");
+        let first = chain.mine_block(miner, 600_000_000);
+        assert_eq!(
+            first.txs[1..].iter().map(UtxoTx::id).collect::<Vec<_>>(),
+            [pay.id(), child.id()]
+        );
+        assert_eq!(chain.ledger().balance(&miner), 50 + 40 + 1);
+        // The double spend and the forged transfer were evicted.
+        assert!(chain.mempool().is_empty());
+        let second = chain.mine_block(miner, 1_200_000_000);
+        assert_eq!(
+            [first.id().to_hex(), second.id().to_hex()],
+            [
+                "f4b1bb84a8c48594436b5c46464c83cd9ad6dedc5ca96650001f60df943f86d7",
+                "1d054895245b4c95111696905e9a68e8adf29c410cd162ad45aec91d2d7371f1"
+            ]
+        );
     }
 
     #[test]

@@ -204,7 +204,6 @@ impl EthereumChain {
         let parent = self.chain.header(&parent_id).expect("tip exists").clone();
         let height = parent.height + 1;
         let gas_limit = self.next_gas_limit(&parent);
-        let parent_root = self.roots[&parent_id];
 
         // Real Ethereum block building: per-sender queues in nonce
         // order, repeatedly taking the best-paying executable head.
@@ -220,8 +219,9 @@ impl EthereumChain {
             queue.sort_by_key(|tx| std::cmp::Reverse(tx.nonce));
         }
 
-        let mut scratch_root = parent_root;
+        let mut root = self.roots[&parent_id];
         let mut included = Vec::new();
+        let mut receipts = Vec::new();
         let mut gas_used = 0u64;
         // The best-paying head among all sender queues, each round.
         while let Some(best_sender) = queues
@@ -238,11 +238,12 @@ impl EthereumChain {
                 queues.remove(&best_sender);
                 continue;
             }
-            match self.state.apply_tx(scratch_root, &tx, &producer) {
-                Ok((root, _)) => {
-                    scratch_root = root;
+            match self.state.apply_tx(root, &tx, &producer) {
+                Ok((new_root, receipt)) => {
+                    root = new_root;
                     gas_used += tx.gas_used();
                     included.push(tx);
+                    receipts.push(receipt);
                 }
                 Err(AccountError::BadNonce { expected, got }) if got > expected => {
                     // Nonce gap: a predecessor wasn't among this
@@ -267,13 +268,15 @@ impl EthereumChain {
             }
         }
 
-        // Execute for real to obtain the committed roots.
-        let mut header = BlockHeader {
+        let state_root =
+            self.state
+                .close_block(root, &mut receipts, &producer, self.params.block_reward);
+        let header = BlockHeader {
             parent: parent_id,
             height,
             merkle_root: Digest::ZERO,
-            state_root: Digest::ZERO,
-            receipts_root: Digest::ZERO,
+            state_root,
+            receipts_root: receipts_root(&receipts),
             timestamp_micros,
             difficulty: 1,
             nonce: 0,
@@ -281,14 +284,6 @@ impl EthereumChain {
             gas_limit,
             proposer: producer,
         };
-        // Compute roots on a trial block with zero commitments.
-        let trial = Block::new(header.clone(), included.clone());
-        let (state_root, receipts) = self
-            .state
-            .apply_block(parent_root, &trial, &producer, self.params.block_reward)
-            .expect("locally selected transactions execute");
-        header.state_root = state_root;
-        header.receipts_root = receipts_root(&receipts);
         let block = Block::new(header, included);
         self.receive_block(block.clone())
             .expect("locally assembled blocks validate");
@@ -693,6 +688,47 @@ mod tests {
         assert!(
             sync_bytes < full_bytes,
             "fast sync ({sync_bytes} B) cheaper than full history ({full_bytes} B)"
+        );
+    }
+
+    #[test]
+    fn produced_block_ids_are_pinned() {
+        let mut alice = AccountHolder::from_seed([21u8; 32], 3);
+        let mut bob = AccountHolder::from_seed([22u8; 32], 3);
+        let mut carol = AccountHolder::from_seed([23u8; 32], 3);
+        let allocations: Vec<(Address, u64)> = [&alice, &bob, &carol]
+            .iter()
+            .map(|holder| (holder.address(), 1_000_000))
+            .collect();
+        let mut chain = EthereumChain::new(EthereumParams::default(), &allocations);
+        let shop = Address::from_label("shop");
+        let stale = alice.transfer(shop, 10, 2);
+        chain.submit_tx(stale.clone());
+        chain.submit_tx(carol.transfer(shop, 20, 1));
+        let producer = Address::from_label("validator");
+        let first = chain.produce_block(producer, 15_000_000);
+        assert_eq!(first.txs.len(), 2);
+
+        // Alice's nonce 0 again (stale), Bob's nonce 0, and Carol's
+        // nonce 2 with nonce 1 never sent (a gap).
+        chain.submit_tx(stale.clone());
+        let paid = bob.transfer(shop, 30, 3);
+        chain.submit_tx(paid.clone());
+        carol.transfer(shop, 40, 1);
+        let gapped = carol.transfer(shop, 50, 5);
+        chain.submit_tx(gapped.clone());
+        let second = chain.produce_block(producer, 30_000_000);
+        assert_eq!(second.txs, [paid]);
+        // The stale transfer was evicted; the gapped one waits.
+        assert!(!chain.mempool().contains(&stale.id()));
+        assert!(chain.mempool().contains(&gapped.id()));
+        assert_eq!(chain.mempool().len(), 1);
+        assert_eq!(
+            [first.id().to_hex(), second.id().to_hex()],
+            [
+                "db67cfe1462c62b1a61ae11c13a2a88609cfbcc0a1726b0a94d6969636353658",
+                "b539b19f53b04be8ce4c9de5123678c2bf273bee4ef9c0eff3c6323c506673d0"
+            ]
         );
     }
 

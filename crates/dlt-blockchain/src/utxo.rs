@@ -273,6 +273,25 @@ impl BlockUndo {
     }
 }
 
+/// What a block's transactions so far do to the output set: the
+/// outputs they create and the outpoints they spend.
+#[derive(Debug, Default)]
+pub(crate) struct BlockStage {
+    created: BTreeMap<OutPoint, TxOutput>,
+    spent: BTreeSet<OutPoint>,
+}
+
+impl BlockStage {
+    fn create(&mut self, tx: &UtxoTx) {
+        let txid = tx.id();
+        for (index, output) in tx.outputs.iter().enumerate() {
+            let index = index as u32;
+            self.created
+                .insert(OutPoint { txid, index }, output.clone());
+        }
+    }
+}
+
 /// The unspent output set plus block application/undo.
 #[derive(Debug, Clone, Default)]
 pub struct UtxoLedger {
@@ -321,14 +340,14 @@ impl UtxoLedger {
         v
     }
 
-    /// Validates one regular transaction against the current set plus
-    /// `block_spent` (outpoints consumed earlier in the same block).
-    fn validate_regular(
-        &self,
-        tx: &UtxoTx,
-        block_created: &BTreeMap<OutPoint, TxOutput>,
-        block_spent: &BTreeSet<OutPoint>,
-    ) -> Result<u64, UtxoError> {
+    /// Checks one regular transaction against the set as the block's
+    /// earlier transactions in `stage` leave it; on success records its
+    /// spends and outputs in `stage` and returns its fee. Blocks apply,
+    /// and miners fill blocks, through this one rule.
+    pub(crate) fn stage_tx(&self, stage: &mut BlockStage, tx: &UtxoTx) -> Result<u64, UtxoError> {
+        if tx.is_coinbase() {
+            return Err(UtxoError::CoinbaseMisplaced);
+        }
         if tx.outputs.is_empty() {
             return Err(UtxoError::NoOutputs);
         }
@@ -336,13 +355,13 @@ impl UtxoLedger {
         let mut seen = BTreeSet::new();
         let mut input_total = 0u64;
         for input in &tx.inputs {
-            if !seen.insert(input.outpoint) || block_spent.contains(&input.outpoint) {
+            if !seen.insert(input.outpoint) || stage.spent.contains(&input.outpoint) {
                 return Err(UtxoError::DoubleSpend);
             }
             let output = self
                 .utxos
                 .get(&input.outpoint)
-                .or_else(|| block_created.get(&input.outpoint))
+                .or_else(|| stage.created.get(&input.outpoint))
                 .ok_or(UtxoError::MissingInput)?;
             if input.pubkey.address() != output.recipient {
                 return Err(UtxoError::WrongOwner);
@@ -360,6 +379,8 @@ impl UtxoLedger {
         if fee != tx.declared_fee {
             return Err(UtxoError::FeeMismatch);
         }
+        stage.spent.extend(seen);
+        stage.create(tx);
         Ok(fee)
     }
 
@@ -379,40 +400,20 @@ impl UtxoLedger {
         block: &Block<UtxoTx>,
         subsidy: u64,
     ) -> Result<BlockUndo, UtxoError> {
-        // Validate first, then mutate: collect fees and stage changes.
-        let mut block_created: BTreeMap<OutPoint, TxOutput> = BTreeMap::new();
-        let mut block_spent: BTreeSet<OutPoint> = BTreeSet::new();
-        let mut fees = 0u64;
-
-        for (i, tx) in block.txs.iter().enumerate() {
-            if i == 0 {
-                if !tx.is_coinbase() {
-                    return Err(UtxoError::CoinbaseMisplaced);
-                }
-                if tx.outputs.is_empty() {
-                    return Err(UtxoError::NoOutputs);
-                }
-            } else {
-                if tx.is_coinbase() {
-                    return Err(UtxoError::CoinbaseMisplaced);
-                }
-                fees += self.validate_regular(tx, &block_created, &block_spent)?;
-                for input in &tx.inputs {
-                    block_spent.insert(input.outpoint);
-                }
+        // Validate first, then mutate.
+        let mut stage = BlockStage::default();
+        if let Some((coinbase, txs)) = block.txs.split_first() {
+            if !coinbase.is_coinbase() {
+                return Err(UtxoError::CoinbaseMisplaced);
             }
-            let txid = tx.id();
-            for (index, output) in tx.outputs.iter().enumerate() {
-                block_created.insert(
-                    OutPoint {
-                        txid,
-                        index: index as u32,
-                    },
-                    output.clone(),
-                );
+            if coinbase.outputs.is_empty() {
+                return Err(UtxoError::NoOutputs);
             }
-        }
-        if let Some(coinbase) = block.txs.first() {
+            stage.create(coinbase);
+            let mut fees = 0u64;
+            for tx in txs {
+                fees += self.stage_tx(&mut stage, tx)?;
+            }
             if coinbase.output_total() > subsidy + fees {
                 return Err(UtxoError::CoinbaseOverpays);
             }
@@ -420,14 +421,14 @@ impl UtxoLedger {
 
         // Commit.
         let mut undo = BlockUndo::default();
-        for outpoint in &block_spent {
+        for outpoint in &stage.spent {
             // In-block outputs spent in-block never hit the set.
             if let Some(prev) = self.utxos.remove(outpoint) {
                 undo.spent.push((*outpoint, prev));
             }
         }
-        for (outpoint, output) in block_created {
-            if block_spent.contains(&outpoint) {
+        for (outpoint, output) in stage.created {
+            if stage.spent.contains(&outpoint) {
                 continue; // created and consumed within the block
             }
             self.utxos.insert(outpoint, output);

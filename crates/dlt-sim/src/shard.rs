@@ -400,14 +400,16 @@ mod tests {
 
         fn on_cross(&mut self, deliver_at: SimTime, msg: CrossMsg<u64>) {
             self.received.push((deliver_at, msg.src, msg.payload));
-            self.metrics.inc_named("cross.received");
+            let received = self.metrics.counter("cross.received");
+            self.metrics.inc(received);
         }
 
         fn finish(mut self) -> ShardReport {
-            self.metrics.add_named("cross.sent", self.sent);
+            let sent = self.metrics.counter("cross.sent");
+            self.metrics.add(sent, self.sent);
+            let deliver_ms = self.metrics.series("cross.deliver_ms");
             for (at, _, _) in &self.received {
-                self.metrics
-                    .record_named("cross.deliver_ms", at.as_secs_f64() * 1e3);
+                self.metrics.record(deliver_ms, at.as_secs_f64() * 1e3);
             }
             ShardReport {
                 metrics: self.metrics,

@@ -127,15 +127,18 @@ fn every_experiment_exits_zero_with_a_valid_json_report() {
 
 #[test]
 fn sim_experiments_are_byte_deterministic_across_runs() {
-    // e04 exercises the miner network, e09 the workload adapters,
-    // e10 the consensus primitives, e18 the fault-injection
-    // interceptor — together they cover the refactored engine,
-    // metrics, payload-sharing, and fault paths. e04, e06, e11, e13
-    // and e18 print each simulation's dispatch hash, so their stdout
-    // also compares the two runs event for event.
+    // e04 exercises the miner network, e07 and e08 the Bitcoin and
+    // Ethereum block producers (e08 through pruning and fast sync),
+    // e09 the workload adapters, e10 the consensus primitives, e18 the
+    // fault-injection interceptor — together they cover the engine,
+    // metrics, block building, payload-sharing, and fault paths. e04,
+    // e06, e11, e13 and e18 print each simulation's dispatch hash, so
+    // their stdout also compares the two runs event for event.
     for (bin, fingerprint) in [
         ("e04_forks", Some("dispatch_hash[")),
         ("e06_dag_confirm", Some("dispatch_hash[")),
+        ("e07_ledger_size", None),
+        ("e08_pruning", None),
         ("e09_throughput", None),
         ("e10_consensus", None),
         ("e11_blocksize", Some("dispatch_hash[")),
