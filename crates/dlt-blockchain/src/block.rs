@@ -30,6 +30,12 @@ pub trait LedgerTx: Clone {
 
     /// Serialized size in bytes (ledger-size accounting, §V).
     fn encoded_size(&self) -> usize;
+
+    /// Whether this is a block producer's reward transaction. A
+    /// reverted block's coinbase is dropped, never pooled again.
+    fn is_coinbase(&self) -> bool {
+        false
+    }
 }
 
 /// A block header: everything needed to verify chain linkage and

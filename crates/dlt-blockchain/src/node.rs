@@ -18,7 +18,7 @@ use std::collections::BTreeSet;
 
 use dlt_crypto::keys::Address;
 use dlt_crypto::Digest;
-use dlt_sim::engine::{Context, Payload, SimNode};
+use dlt_sim::engine::{Context, ObjectId, Payload, SimNode};
 use dlt_sim::metrics::{CounterId, Metrics, SeriesId};
 use dlt_sim::network::NodeId;
 
@@ -47,6 +47,16 @@ impl<T: LedgerTx> NetMsg<T> {
     /// A `Block` announcing `block`.
     pub fn block(block: Block<T>) -> Self {
         NetMsg::Block(block)
+    }
+}
+
+impl<T: LedgerTx> ObjectId for NetMsg<T> {
+    /// The block's header hash or the transfer's id.
+    fn object_id(&self) -> Option<Digest> {
+        Some(match self {
+            NetMsg::Block(block) => block.id(),
+            NetMsg::Tx(tx) => tx.id(),
+        })
     }
 }
 
@@ -316,11 +326,12 @@ impl<T: LedgerTx> MinerNode<T> {
                 ctx.trace_mark("miner.reorg_depth", reverted.len() as u64);
                 self.deepest_reorg = self.deepest_reorg.max(reverted.len() as u64);
                 // Orphaned transactions go back to the pool first, then
-                // the new branch claims its own.
+                // the new branch claims its own. A reverted coinbase
+                // pays a block that is no longer active: it is dropped.
                 let mut reinstate = Vec::new();
                 for id in reverted {
                     if let Some(block) = self.chain.block(id) {
-                        reinstate.extend(block.txs.iter().cloned());
+                        reinstate.extend(block.txs.iter().filter(|t| !t.is_coinbase()).cloned());
                     }
                 }
                 self.mempool.reinstate(reinstate);
@@ -357,12 +368,16 @@ impl<T: LedgerTx> SimNode<NetMsg<T>> for MinerNode<T> {
         _from: NodeId,
         msg: Payload<NetMsg<T>>,
     ) {
+        // The engine hashes each payload allocation once, so the other
+        // deliveries of a flood cost a lookup here.
+        let Some(id) = ctx.object_id(&msg) else {
+            return;
+        };
+        if !self.seen.insert(id) {
+            return;
+        }
         match &*msg {
             NetMsg::Block(block) => {
-                let id = block.id();
-                if !self.seen.insert(id) {
-                    return;
-                }
                 let old_tip = self.chain.tip();
                 let block = block.clone();
                 self.accept_block(ctx, block);
@@ -377,10 +392,6 @@ impl<T: LedgerTx> SimNode<NetMsg<T>> for MinerNode<T> {
                 }
             }
             NetMsg::Tx(tx) => {
-                let id = tx.id();
-                if !self.seen.insert(id) {
-                    return;
-                }
                 // A transfer the active chain already holds is relayed
                 // but not pooled, so it cannot be mined a second time.
                 // One a reorg reverts comes back through `reinstate`.
@@ -562,6 +573,73 @@ mod tests {
             .filter(|b| b.txs.iter().any(|t| t.id() == tx_id))
             .count();
         assert_eq!(inclusions, 1, "tx mined again");
+    }
+
+    #[test]
+    fn a_transfer_is_relayed_once_per_node_whatever_its_allocation() {
+        let mut sim: Net = Simulation::new(10, LatencyModel::Fixed(SimTime::from_millis(10)));
+        for _ in 0..3 {
+            sim.add_node(MinerNode::new(genesis(), MinerConfig::relay()));
+        }
+        let inject = |sim: &mut Net, at_ms: u64, tag: u64| {
+            let at = SimTime::from_millis(at_ms);
+            sim.deliver_at(at, NodeId(0), NodeId(0), NetMsg::tx(TestTx::new(tag)));
+            sim.run_until(at + SimTime::from_secs(1));
+        };
+        inject(&mut sim, 1, 42);
+        assert_eq!(sim.metrics().count("net.messages"), 6, "each node relays");
+        assert_eq!(sim.metrics().count("node.txs_accepted"), 3);
+
+        // Equal content in a fresh allocation has the same id: dropped.
+        inject(&mut sim, 2_000, 42);
+        assert_eq!(sim.metrics().count("net.messages"), 6, "no relay");
+        assert_eq!(sim.metrics().count("node.txs_accepted"), 3);
+
+        // Every send is delivered twice: one allocation, one relay per
+        // node, each relay delivered twice.
+        sim.set_interceptor(
+            dlt_sim::fault::FaultInterceptor::new(10).duplicate(1.0, SimTime::from_millis(5)),
+        );
+        inject(&mut sim, 4_000, 43);
+        assert_eq!(sim.metrics().count("net.messages"), 6 + 12);
+        assert_eq!(sim.metrics().count("node.txs_accepted"), 6);
+    }
+
+    #[test]
+    fn a_reorg_does_not_pool_the_reverted_coinbase() {
+        use crate::utxo::UtxoTx;
+        let genesis = Block::<UtxoTx>::new(header(Digest::ZERO, 0), vec![]);
+        let mut config = MinerConfig::miner(1.0, Address::from_label("miner"));
+        config.retarget = quick_retarget();
+        config.coinbase = Some(Box::new(|height, subsidy, fees, miner| {
+            UtxoTx::coinbase(height, subsidy + fees, miner)
+        }));
+        let mut sim: Simulation<NetMsg<UtxoTx>, MinerNode<UtxoTx>> =
+            Simulation::new(9, LatencyModel::Fixed(SimTime::from_millis(10)));
+        let node = sim.add_node(MinerNode::new(genesis.clone(), config));
+        while sim.node(node).chain().tip_height() == 0 {
+            assert!(sim.step());
+        }
+        let mined = sim.node(node).chain().tip();
+        let coinbase = sim.node(node).chain().block(&mined).unwrap().txs[0].clone();
+        assert!(coinbase.is_coinbase());
+
+        // A two-block branch from genesis outweighs the mined block.
+        let b1 = Block::new(header(genesis.id(), 1), vec![]);
+        let b2 = Block::new(header(b1.id(), 2), vec![]);
+        let b2_id = b2.id();
+        let now = sim.now();
+        sim.deliver_at(now, node, node, NetMsg::block(b1));
+        sim.deliver_at(now, node, node, NetMsg::block(b2));
+        sim.step();
+        sim.step();
+        let miner = sim.node(node);
+        assert_eq!(miner.chain().tip(), b2_id, "reorged onto the branch");
+        assert_eq!(miner.deepest_reorg(), 1);
+        assert!(
+            !miner.mempool().contains(&coinbase.id()),
+            "the reverted coinbase is pooled as a transfer"
+        );
     }
 
     #[test]

@@ -20,7 +20,7 @@ use std::collections::BTreeMap;
 
 use dlt_crypto::keys::Address;
 use dlt_crypto::Digest;
-use dlt_sim::engine::{Context, Payload, SimNode};
+use dlt_sim::engine::{Context, ObjectId, Payload, SimNode};
 use dlt_sim::metrics::{CounterId, Metrics, SeriesId};
 use dlt_sim::network::NodeId;
 
@@ -41,6 +41,16 @@ impl DagMsg {
     /// A `Publish` announcing `block`.
     pub fn publish(block: LatticeBlock) -> Self {
         DagMsg::Publish(block)
+    }
+}
+
+impl ObjectId for DagMsg {
+    /// A published block's hash; a vote carries no object.
+    fn object_id(&self) -> Option<Digest> {
+        match self {
+            DagMsg::Publish(block) => Some(block.hash()),
+            DagMsg::Vote(_) => None,
+        }
     }
 }
 
@@ -244,7 +254,9 @@ impl DagNode {
     /// Hears a gossiped `Publish`: dedup on the block record, validate,
     /// write the record, relay, then apply. Runs once per valid block
     /// per node. Takes the shared payload so the flood relay re-shares
-    /// the sender's allocation instead of cloning the block per peer.
+    /// the sender's allocation instead of cloning the block per peer,
+    /// and so the engine hashes the block once for the whole flood
+    /// ([`Context::object_id`]).
     ///
     /// The stateless checks run on the shared payload, whose signature
     /// keeps the verdict: the first node to hear the block pays for
@@ -257,7 +269,9 @@ impl DagNode {
         let DagMsg::Publish(block) = &*msg else {
             return;
         };
-        let hash = block.hash();
+        let Some(hash) = ctx.object_id(&msg) else {
+            return;
+        };
         let Entry::Vacant(slot) = self.blocks.entry(hash) else {
             return;
         };
@@ -737,21 +751,26 @@ mod tests {
             .send(Address::from_label("x"), 5)
             .unwrap();
         let hash = send.hash();
-        let forged = with_forged_signature(send.clone());
-        fx.sim.deliver_at(
-            SimTime::from_millis(1),
-            NodeId(0),
-            NodeId(0),
-            DagMsg::publish(forged),
-        );
-        fx.sim.run_until_idle(SimTime::from_secs(10));
-        assert_eq!(fx.sim.metrics().count("net.messages"), 0, "no relay");
-        assert_eq!(fx.sim.metrics().count("dag.blocks_rejected"), 1);
-        let node = fx.sim.node(NodeId(0));
-        assert!(!node.blocks.contains_key(&hash), "no record");
-        assert!(node.gap_buffer.is_empty());
+        let forged = Payload::new(DagMsg::publish(with_forged_signature(send.clone())));
+        // The same allocation twice: the engine remembers its id, and
+        // the check still runs and rejects it each time.
+        for (at, rejected) in [(1, 1), (10, 2)] {
+            fx.sim.deliver_at(
+                SimTime::from_millis(at),
+                NodeId(0),
+                NodeId(0),
+                Payload::clone(&forged),
+            );
+            fx.sim.run_until_idle(SimTime::from_secs(10));
+            assert_eq!(fx.sim.metrics().count("net.messages"), 0, "no relay");
+            assert_eq!(fx.sim.metrics().count("dag.blocks_rejected"), rejected);
+            let node = fx.sim.node(NodeId(0));
+            assert!(!node.blocks.contains_key(&hash), "no record");
+            assert!(node.gap_buffer.is_empty());
+        }
 
-        // The genuine block has the same hash, and is still heard.
+        // The genuine block, in another allocation, has the same hash,
+        // and is still heard.
         fx.sim.deliver_at(
             SimTime::from_millis(20),
             NodeId(0),
@@ -762,7 +781,7 @@ mod tests {
         for i in 0..4 {
             assert!(fx.sim.node(NodeId(i)).is_confirmed(&hash), "node {i}");
         }
-        assert_eq!(fx.sim.metrics().count("dag.blocks_rejected"), 1);
+        assert_eq!(fx.sim.metrics().count("dag.blocks_rejected"), 2);
     }
 
     #[test]

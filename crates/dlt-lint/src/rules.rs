@@ -27,7 +27,7 @@ pub const THREAD_EXEMPT: &str = "crates/dlt-sim/src/shard.rs";
 pub const HOT_PATHS: [(&str, &[&str]); 4] = [
     (
         "crates/dlt-sim/src/engine.rs",
-        &["step", "send_from", "schedule"],
+        &["step", "send_from", "schedule", "object_id"],
     ),
     ("crates/dlt-sim/src/fault.rs", &["intercept"]),
     (

@@ -22,14 +22,24 @@
 //! every send consults the installed fault [`Interceptor`] (none by
 //! default — see [`Simulation::set_interceptor`]).
 //!
+//! Each gossiped object is hashed once per simulation: a node asks
+//! [`Context::object_id`] for the id of the block or transfer a
+//! delivered payload carries, and the engine computes it on the first
+//! request for that allocation and answers every later delivery of the
+//! same flood from a table ([`ObjectId`]). The table is only looked
+//! up, never iterated into output, so it changes no event, RNG draw or
+//! dispatch hash.
+//!
 //! Every dispatched event is folded into a running fingerprint,
 //! [`Simulation::dispatch_hash`]: two runs of the same seeded workload
 //! must end with the same value, so every run carries a behaviour
 //! check without recording a trace.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-use std::rc::Rc;
+use std::collections::{BTreeMap, BinaryHeap};
+use std::rc::{Rc, Weak};
+
+use dlt_crypto::Digest;
 
 use crate::fault::Interceptor;
 use crate::latency::LatencyModel;
@@ -44,6 +54,21 @@ use crate::trace::{EventKind, TraceEvent, Tracer};
 /// message once; every scheduled delivery and every relay hop shares
 /// that allocation.
 pub type Payload<M> = Rc<M>;
+
+/// The identity of the object a message carries, for deduplication.
+///
+/// Implemented once per message type. The id must be a pure function
+/// of the message's content, and the content must not change while it
+/// is shared as a [`Payload`]: [`Context::object_id`] computes it once
+/// per allocation and answers every later request from its table.
+pub trait ObjectId {
+    /// The id of the block or transfer this message carries, or `None`
+    /// when it carries no object (a vote, say).
+    fn object_id(&self) -> Option<Digest>;
+}
+
+/// Table size below which [`Context::object_id`] never sweeps.
+const ID_SWEEP_FLOOR: usize = 64;
 
 /// Behaviour of one simulated node.
 ///
@@ -150,6 +175,13 @@ struct Core<M> {
     // Delivery delays of the send in progress, reused by every send so
     // the send path allocates nothing.
     deliveries: Vec<SimTime>,
+    // Object ids of payloads, keyed by the payload's address. The
+    // `Weak` keeps that allocation reserved while the entry exists, so
+    // no other payload can take its address; entries whose payload has
+    // no strong holder left are swept once the table reaches
+    // `ids_sweep_at`.
+    ids: BTreeMap<usize, (Weak<M>, Option<Digest>)>,
+    ids_sweep_at: usize,
 }
 
 impl<M> Core<M> {
@@ -289,6 +321,33 @@ impl<'a, M> Context<'a, M> {
     }
 }
 
+impl<M: ObjectId> Context<'_, M> {
+    /// The [`ObjectId`] of the message `msg` carries, computed once per
+    /// payload allocation in this simulation: every delivery of one
+    /// flood shares the allocation, so a duplicate delivery costs a
+    /// table lookup instead of a re-hash. An equal message in another
+    /// allocation is hashed again, and gets the same id.
+    ///
+    /// Entries of dead payloads are swept whenever the table has
+    /// doubled since the last sweep (and holds at least 64 entries), so
+    /// it stays within about twice the number of live payloads.
+    pub fn object_id(&mut self, msg: &Payload<M>) -> Option<Digest> {
+        let core = &mut *self.core;
+        let addr = Rc::as_ptr(msg).addr();
+        if let Some(&(_, id)) = core.ids.get(&addr) {
+            return id;
+        }
+        if core.ids.len() >= core.ids_sweep_at {
+            core.ids
+                .retain(|_, (payload, _)| payload.strong_count() > 0);
+            core.ids_sweep_at = (2 * core.ids.len()).max(ID_SWEEP_FLOOR);
+        }
+        let id = msg.object_id();
+        core.ids.insert(addr, (Rc::downgrade(msg), id));
+        id
+    }
+}
+
 /// A deterministic discrete-event simulation over nodes of type `N`.
 ///
 /// For heterogeneous node sets use `N = Box<dyn SimNode<M>>`.
@@ -319,6 +378,8 @@ impl<M, N: SimNode<M>> Simulation<M, N> {
                 dispatch_hash: 0,
                 msg_digester: None,
                 deliveries: Vec::new(),
+                ids: BTreeMap::new(),
+                ids_sweep_at: ID_SWEEP_FLOOR,
             },
         }
     }
@@ -555,6 +616,9 @@ impl<M, N: SimNode<M>> Simulation<M, N> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+    use std::collections::BTreeSet;
+
     use crate::fault::FaultInterceptor;
     use crate::trace::RecordingTracer;
 
@@ -671,6 +735,127 @@ mod tests {
         assert!(sim.nodes().iter().all(|n| n.seen));
         // Only our local handle remains once the queue drains.
         assert_eq!(Rc::strong_count(&payload), 1);
+    }
+
+    /// A message whose [`ObjectId`] counts how often it is computed.
+    struct Counted {
+        tag: u32,
+        calls: Rc<Cell<u32>>,
+    }
+
+    fn content_id(tag: u32) -> Digest {
+        dlt_crypto::sha256::sha256(&tag.to_be_bytes())
+    }
+
+    impl ObjectId for Counted {
+        fn object_id(&self) -> Option<Digest> {
+            self.calls.set(self.calls.get() + 1);
+            Some(content_id(self.tag))
+        }
+    }
+
+    /// Relays each object id once and checks every id it is given
+    /// against the message's content.
+    #[derive(Default)]
+    struct IdRelay {
+        seen: BTreeSet<Digest>,
+        deliveries: u32,
+    }
+
+    impl SimNode<Counted> for IdRelay {
+        fn on_message(&mut self, ctx: &mut Context<'_, Counted>, _: NodeId, msg: Payload<Counted>) {
+            self.deliveries += 1;
+            let id = ctx.object_id(&msg);
+            assert_eq!(id, Some(content_id(msg.tag)), "the id of this content");
+            if id.is_some_and(|id| self.seen.insert(id)) {
+                ctx.broadcast(msg);
+            }
+        }
+    }
+
+    fn id_net(seed: u64, nodes: usize) -> Simulation<Counted, IdRelay> {
+        let mut sim = Simulation::new(seed, fixed(5));
+        for _ in 0..nodes {
+            sim.add_node(IdRelay::default());
+        }
+        sim
+    }
+
+    #[test]
+    fn a_flood_computes_its_object_id_once() {
+        let mut sim = id_net(31, 4);
+        let calls = Rc::new(Cell::new(0));
+        let payload = Payload::new(Counted {
+            tag: 7,
+            calls: Rc::clone(&calls),
+        });
+        sim.deliver_at(
+            SimTime::from_millis(1),
+            NodeId(0),
+            NodeId(1),
+            Rc::clone(&payload),
+        );
+        sim.run_until_idle(SimTime::from_secs(1));
+        // One injection and three relays by each of the four nodes.
+        let deliveries: u32 = sim.nodes().iter().map(|n| n.deliveries).sum();
+        assert_eq!(deliveries, 13);
+        assert_eq!(calls.get(), 1, "one id computation for the whole flood");
+        // The table holds no strong reference.
+        assert_eq!(Rc::strong_count(&payload), 1);
+        assert_eq!(sim.core.ids.len(), 1);
+    }
+
+    #[test]
+    fn an_equal_message_in_another_allocation_is_hashed_again() {
+        let mut sim = id_net(32, 4);
+        let calls = Rc::new(Cell::new(0));
+        for at in [1, 100] {
+            let msg = Counted {
+                tag: 7,
+                calls: Rc::clone(&calls),
+            };
+            sim.deliver_at(SimTime::from_millis(at), NodeId(0), NodeId(1), msg);
+            sim.run_until_idle(SimTime::from_secs(1));
+        }
+        assert_eq!(calls.get(), 2, "one computation per allocation");
+        // The second copy has the first one's id, so node 1 drops it.
+        let deliveries: u32 = sim.nodes().iter().map(|n| n.deliveries).sum();
+        assert_eq!(deliveries, 14);
+    }
+
+    #[test]
+    fn the_id_table_forgets_dead_payloads_and_never_answers_for_a_new_one() {
+        let mut sim = id_net(33, 2);
+        let calls = Rc::new(Cell::new(0));
+        let mut live = Vec::new();
+        for tag in 0..1_000 {
+            let payload = Payload::new(Counted {
+                tag,
+                calls: Rc::clone(&calls),
+            });
+            sim.deliver_at(sim.now(), NodeId(0), NodeId(0), Rc::clone(&payload));
+            sim.run_until_idle(SimTime::from_secs(3_600));
+            // Keep every hundredth payload alive; the rest die here,
+            // and later payloads may take their addresses.
+            if tag % 100 == 0 {
+                live.push(payload);
+            }
+            assert!(
+                sim.core.ids.len() <= ID_SWEEP_FLOOR,
+                "{} entries with at most {} live payloads",
+                sim.core.ids.len(),
+                live.len() + 1
+            );
+        }
+        assert_eq!(calls.get(), 1_000);
+        // Each live payload still gets its own content's id (IdRelay
+        // asserts it), from the table: no computation.
+        for payload in &live {
+            sim.deliver_at(sim.now(), NodeId(1), NodeId(1), Rc::clone(payload));
+        }
+        sim.run_until_idle(SimTime::from_secs(3_600));
+        assert_eq!(calls.get(), 1_000);
+        assert!(live.iter().all(|p| Rc::strong_count(p) == 1));
     }
 
     #[test]
