@@ -125,13 +125,13 @@ fn main() {
     // DLT_TRACE=1 captures workload milestone marks (offered /
     // confirmed / rejected) for all three runs into one event log.
     let trace = trace::from_env("e09");
-    let mut tracer = trace.tracer();
+    let tracer = trace.tracer();
     trace.mark("workload.run", 0);
-    let bitcoin_report = run_workload_traced(&mut bitcoin, &config, tracer.as_deref_mut());
+    let bitcoin_report = run_workload_traced(&mut bitcoin, &config, tracer);
     trace.mark("workload.run", 1);
-    let ethereum_report = run_workload_traced(&mut ethereum, &config, tracer.as_deref_mut());
+    let ethereum_report = run_workload_traced(&mut ethereum, &config, tracer);
     trace.mark("workload.run", 2);
-    let nano_report = run_workload_traced(&mut nano, &config, tracer.as_deref_mut());
+    let nano_report = run_workload_traced(&mut nano, &config, tracer);
     let reports = [
         ("bitcoin-like (1x)", bitcoin_report),
         ("ethereum-like (1x)", ethereum_report),

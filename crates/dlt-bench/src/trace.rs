@@ -13,7 +13,7 @@ use std::path::PathBuf;
 
 use dlt_sim::engine::{SimNode, Simulation};
 use dlt_sim::time::SimTime;
-use dlt_sim::trace::{RecordingTracer, TraceEvent, TraceLog, Tracer};
+use dlt_sim::trace::{TraceEvent, TraceLog};
 
 /// One experiment's trace session; see the module docs.
 pub struct ExperimentTrace {
@@ -38,21 +38,20 @@ impl ExperimentTrace {
         self.log.is_some()
     }
 
-    /// Installs a recording tracer (sharing this session's log) into a
-    /// simulation. No-op when tracing is off. Repeated sweeps can
-    /// install into each simulation; all events land in one log.
+    /// Makes a simulation record into this session's log. No-op when
+    /// tracing is off. Repeated sweeps can install into each
+    /// simulation; all events land in one log.
     pub fn install<M, N: SimNode<M>>(&self, sim: &mut Simulation<M, N>) {
         if let Some(log) = &self.log {
-            sim.set_tracer(RecordingTracer::sharing(log.clone()));
+            sim.set_tracer(log.clone());
         }
     }
 
-    /// A tracer for engine-less runners (e.g.
-    /// `dlt_core::ledger::run_workload_traced`): recording into this
-    /// session's log when on, `None` when off.
-    pub fn tracer(&self) -> Option<Box<dyn Tracer>> {
-        let log = self.log.as_ref()?;
-        Some(Box::new(RecordingTracer::sharing(log.clone())))
+    /// This session's log for engine-less runners (e.g.
+    /// `dlt_core::ledger::run_workload_traced`): `Some` when tracing
+    /// is on, `None` when off.
+    pub fn tracer(&self) -> Option<&TraceLog> {
+        self.log.as_ref()
     }
 
     /// Emits a harness-level mark (timestamped at simulated zero —
@@ -119,8 +118,8 @@ mod tests {
             log: Some(TraceLog::new()),
         };
         trace.mark("sweep.start", 3);
-        let mut tracer = trace.tracer().expect("tracing is on");
-        tracer.trace(TraceEvent::Mark {
+        let tracer = trace.tracer().expect("tracing is on");
+        tracer.push(TraceEvent::Mark {
             at: SimTime::ZERO,
             label: "x",
             value: 1,

@@ -17,7 +17,7 @@
 //! state-delta garbage collection and fast sync — fall out of
 //! [`TrieDb`]'s structural sharing.
 
-use dlt_crypto::codec::{Decode, DecodeError, Encode};
+use dlt_crypto::codec::{decode_exact, Decode, DecodeError, Encode};
 use dlt_crypto::keys::{Address, PublicKey, Signature};
 use dlt_crypto::merkle::merkle_root;
 use dlt_crypto::sha256::{sha256, Sha256};
@@ -53,6 +53,18 @@ impl Decode for AccountState {
             nonce: u64::decode(input)?,
             balance: u64::decode(input)?,
         })
+    }
+}
+
+impl AccountState {
+    /// Reads `address`'s state at trie version `root`: the zero state
+    /// for an absent account, as Ethereum treats untouched addresses.
+    /// Every read of a stored account goes through here.
+    pub(crate) fn read(trie: &TrieDb, root: Digest, address: &Address) -> AccountState {
+        trie.get(root, address.0.as_bytes())
+            .map_or_else(AccountState::default, |bytes| {
+                decode_exact(bytes).expect("stored account states are well-formed")
+            })
     }
 }
 
@@ -149,27 +161,6 @@ impl Encode for AccountTx {
     }
 }
 
-impl Decode for AccountTx {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        let tx = AccountTx {
-            from: PublicKey::decode(input)?,
-            to: Address::decode(input)?,
-            amount: u64::decode(input)?,
-            nonce: u64::decode(input)?,
-            gas_price: u64::decode(input)?,
-            payload_bytes: u32::decode(input)?,
-            signature: Signature::decode(input)?,
-        };
-        // Skip the simulated payload padding.
-        let pad = tx.payload_bytes as usize;
-        if input.len() < pad {
-            return Err(DecodeError::UnexpectedEnd);
-        }
-        *input = &input[pad..];
-        Ok(tx)
-    }
-}
-
 impl LedgerTx for AccountTx {
     fn id(&self) -> Digest {
         sha256(&self.encode_to_vec())
@@ -213,17 +204,6 @@ impl Encode for Receipt {
         self.success.encode(out);
         self.gas_used.encode(out);
         self.cumulative_gas.encode(out);
-    }
-}
-
-impl Decode for Receipt {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(Receipt {
-            tx_id: Digest::decode(input)?,
-            success: bool::decode(input)?,
-            gas_used: u64::decode(input)?,
-            cumulative_gas: u64::decode(input)?,
-        })
     }
 }
 
@@ -300,13 +280,7 @@ impl StateDb {
     /// Reads an account at a state version (zero state for absent
     /// accounts, as Ethereum treats untouched addresses).
     pub fn account(&self, root: Digest, address: &Address) -> AccountState {
-        match self.trie.get(root, address.0.as_bytes()) {
-            None => AccountState::default(),
-            Some(bytes) => {
-                let mut slice = bytes;
-                AccountState::decode(&mut slice).expect("stored account states are well-formed")
-            }
-        }
+        AccountState::read(&self.trie, root, address)
     }
 
     /// Writes an account, returning the new state root.
@@ -773,12 +747,34 @@ mod tests {
 
     #[test]
     fn tx_codec_round_trip() {
-        use dlt_crypto::codec::{decode_exact, Encode};
         let mut alice = holder(13);
-        let tx = alice.transfer_with_payload(Address::from_label("b"), 5, 3, 0);
-        let back: AccountTx = decode_exact(&tx.encode_to_vec()).unwrap();
-        assert_eq!(back, tx);
-        assert_eq!(back.id(), tx.id());
+        let tx = alice.transfer_with_payload(Address::from_label("b"), 5, 3, 40);
+        // The overridden `encoded_len` counts the payload padding too.
+        assert_eq!(tx.encoded_len(), tx.encode_to_vec().len());
+    }
+
+    #[test]
+    fn tx_id_changes_with_any_field() {
+        let mut alice = holder(14);
+        let tx = alice.transfer_with_payload(Address::from_label("b"), 5, 3, 2);
+        let edits: [fn(&mut AccountTx); 7] = [
+            |t| t.from = PublicKey(Digest::ZERO),
+            |t| t.to = Address::from_label("c"),
+            |t| t.amount += 1,
+            |t| t.nonce += 1,
+            |t| t.gas_price += 1,
+            |t| t.payload_bytes += 1,
+            |t| {
+                t.signature = dlt_crypto::keys::Keypair::wots_from_seed([9u8; 32])
+                    .sign(&Digest::ZERO)
+                    .unwrap();
+            },
+        ];
+        for edit in edits {
+            let mut changed = tx.clone();
+            edit(&mut changed);
+            assert_ne!(changed.id(), tx.id());
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! Transactions are abstracted by [`LedgerTx`] so the chain store,
 //! mempool and miner are shared between the UTXO and account models.
 
-use dlt_crypto::codec::{Decode, DecodeError, Encode};
+use dlt_crypto::codec::Encode;
 use dlt_crypto::keys::Address;
 use dlt_crypto::merkle::merkle_root;
 use dlt_crypto::sha256::double_sha256;
@@ -100,24 +100,6 @@ impl Encode for BlockHeader {
         self.gas_used.encode(out);
         self.gas_limit.encode(out);
         self.proposer.encode(out);
-    }
-}
-
-impl Decode for BlockHeader {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(BlockHeader {
-            parent: Digest::decode(input)?,
-            height: u64::decode(input)?,
-            merkle_root: Digest::decode(input)?,
-            state_root: Digest::decode(input)?,
-            receipts_root: Digest::decode(input)?,
-            timestamp_micros: u64::decode(input)?,
-            difficulty: u64::decode(input)?,
-            nonce: u64::decode(input)?,
-            gas_used: u64::decode(input)?,
-            gas_limit: u64::decode(input)?,
-            proposer: Address::decode(input)?,
-        })
     }
 }
 
@@ -322,27 +304,27 @@ pub(crate) mod testutil {
 mod tests {
     use super::testutil::{header, TestTx};
     use super::*;
-    use dlt_crypto::codec::decode_exact;
 
     #[test]
     fn header_id_changes_with_any_field() {
         let base = header(Digest::ZERO, 0);
-        let base_id = base.id();
-        let mut variants = Vec::new();
-        let mut h = base.clone();
-        h.height = 1;
-        variants.push(h.clone());
-        h = base.clone();
-        h.nonce = 99;
-        variants.push(h.clone());
-        h = base.clone();
-        h.difficulty = 77;
-        variants.push(h.clone());
-        h = base.clone();
-        h.merkle_root = dlt_crypto::sha256::sha256(b"other");
-        variants.push(h);
-        for v in variants {
-            assert_ne!(v.id(), base_id);
+        let edits: [fn(&mut BlockHeader); 11] = [
+            |h| h.parent = dlt_crypto::sha256::sha256(b"parent"),
+            |h| h.height = 1,
+            |h| h.merkle_root = dlt_crypto::sha256::sha256(b"other"),
+            |h| h.state_root = dlt_crypto::sha256::sha256(b"state"),
+            |h| h.receipts_root = dlt_crypto::sha256::sha256(b"receipts"),
+            |h| h.timestamp_micros += 1,
+            |h| h.difficulty = 77,
+            |h| h.nonce = 99,
+            |h| h.gas_used += 1,
+            |h| h.gas_limit += 1,
+            |h| h.proposer = Address::from_label("proposer"),
+        ];
+        for edit in edits {
+            let mut changed = base.clone();
+            edit(&mut changed);
+            assert_ne!(changed.id(), base.id());
         }
     }
 
@@ -351,9 +333,7 @@ mod tests {
         let mut h = header(dlt_crypto::sha256::sha256(b"parent"), 5);
         h.gas_used = 21_000;
         h.gas_limit = 8_000_000;
-        let back: BlockHeader = decode_exact(&h.encode_to_vec()).unwrap();
-        assert_eq!(back, h);
-        assert_eq!(back.id(), h.id());
+        assert_eq!(h.size_bytes(), h.encode_to_vec().len());
     }
 
     #[test]

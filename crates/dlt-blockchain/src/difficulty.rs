@@ -12,7 +12,6 @@
 //! the interval actually completed (clamped to 4× per step, as
 //! Bitcoin clamps it).
 
-use dlt_crypto::codec::{Decode, DecodeError, Encode};
 use dlt_crypto::Digest;
 /// Derives the 256-bit PoW target for a difficulty, via long division
 /// of 2²⁵⁶ − 1 by the difficulty over 64-bit limbs.
@@ -58,36 +57,9 @@ impl RetargetParams {
         }
     }
 
-    /// Ethereum-like defaults (15 s blocks, per-epoch adjustment).
-    pub fn ethereum_like() -> Self {
-        RetargetParams {
-            target_interval_micros: 15_000_000,
-            window: 100,
-            max_step: 4,
-        }
-    }
-
     /// Whether a block at `height` closes a retarget window.
     pub fn is_retarget_height(&self, height: u64) -> bool {
         height > 0 && height.is_multiple_of(self.window)
-    }
-}
-
-impl Encode for RetargetParams {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.target_interval_micros.encode(out);
-        self.window.encode(out);
-        self.max_step.encode(out);
-    }
-}
-
-impl Decode for RetargetParams {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(RetargetParams {
-            target_interval_micros: u64::decode(input)?,
-            window: u64::decode(input)?,
-            max_step: u64::decode(input)?,
-        })
     }
 }
 
@@ -113,19 +85,6 @@ pub fn retarget(params: &RetargetParams, old_difficulty: u64, actual_span_micros
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn retarget_params_codec_round_trip() {
-        for p in [
-            RetargetParams::bitcoin_like(),
-            RetargetParams::ethereum_like(),
-        ] {
-            let bytes = p.encode_to_vec();
-            assert_eq!(bytes.len(), p.encoded_len());
-            let back: RetargetParams = dlt_crypto::codec::decode_exact(&bytes).unwrap();
-            assert_eq!(back, p);
-        }
-    }
 
     #[test]
     fn difficulty_one_is_max_target() {

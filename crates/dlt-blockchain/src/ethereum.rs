@@ -465,14 +465,7 @@ pub struct FastSyncedNode {
 impl FastSyncedNode {
     /// Reads an account from the synced state.
     pub fn account(&self, address: &Address) -> crate::account::AccountState {
-        match self.trie.get(self.pivot_root, address.0.as_bytes()) {
-            None => crate::account::AccountState::default(),
-            Some(bytes) => {
-                let mut slice = bytes;
-                <crate::account::AccountState as dlt_crypto::codec::Decode>::decode(&mut slice)
-                    .expect("synced states are well-formed")
-            }
-        }
+        crate::account::AccountState::read(&self.trie, self.pivot_root, address)
     }
 }
 

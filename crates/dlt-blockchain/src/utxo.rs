@@ -18,7 +18,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use dlt_crypto::codec::{Decode, DecodeError, Encode};
+use dlt_crypto::codec::Encode;
 use dlt_crypto::keys::{Address, Keypair, PublicKey, Signature};
 use dlt_crypto::sha256::{double_sha256, Sha256};
 use dlt_crypto::Digest;
@@ -42,15 +42,6 @@ impl Encode for OutPoint {
     }
 }
 
-impl Decode for OutPoint {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(OutPoint {
-            txid: Digest::decode(input)?,
-            index: u32::decode(input)?,
-        })
-    }
-}
-
 /// A spendable output: an amount locked to an address.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TxOutput {
@@ -64,15 +55,6 @@ impl Encode for TxOutput {
     fn encode(&self, out: &mut Vec<u8>) {
         self.amount.encode(out);
         self.recipient.encode(out);
-    }
-}
-
-impl Decode for TxOutput {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(TxOutput {
-            amount: u64::decode(input)?,
-            recipient: Address::decode(input)?,
-        })
     }
 }
 
@@ -92,16 +74,6 @@ impl Encode for TxInput {
         self.outpoint.encode(out);
         self.pubkey.encode(out);
         self.signature.encode(out);
-    }
-}
-
-impl Decode for TxInput {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(TxInput {
-            outpoint: OutPoint::decode(input)?,
-            pubkey: PublicKey::decode(input)?,
-            signature: Signature::decode(input)?,
-        })
     }
 }
 
@@ -180,17 +152,6 @@ impl Encode for UtxoTx {
         self.outputs.encode(out);
         self.declared_fee.encode(out);
         self.coinbase_height.encode(out);
-    }
-}
-
-impl Decode for UtxoTx {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(UtxoTx {
-            inputs: Vec::<TxInput>::decode(input)?,
-            outputs: Vec::<TxOutput>::decode(input)?,
-            declared_fee: u64::decode(input)?,
-            coinbase_height: u64::decode(input)?,
-        })
     }
 }
 
@@ -868,7 +829,6 @@ mod tests {
 
     #[test]
     fn tx_codec_round_trip() {
-        use dlt_crypto::codec::decode_exact;
         let mut wallet = Wallet::new(16);
         let mut ledger = UtxoLedger::new();
         let (genesis, _) = genesis_with_funds(&mut wallet, 100);
@@ -876,9 +836,38 @@ mod tests {
         let tx = wallet
             .build_transfer(&ledger, Address::from_label("a"), 10, 2)
             .unwrap();
-        let back: UtxoTx = decode_exact(&tx.encode_to_vec()).unwrap();
-        assert_eq!(back, tx);
-        assert_eq!(back.id(), tx.id());
-        assert_eq!(back.weight(), tx.encoded_size() as u64);
+        assert_eq!(tx.encoded_size(), tx.encode_to_vec().len());
+        assert_eq!(tx.weight(), tx.encoded_size() as u64);
+    }
+
+    #[test]
+    fn tx_id_changes_with_any_field() {
+        let mut wallet = Wallet::new(17);
+        let mut ledger = UtxoLedger::new();
+        let (genesis, _) = genesis_with_funds(&mut wallet, 100);
+        ledger.apply_block(&genesis, 100).unwrap();
+        let tx = wallet
+            .build_transfer(&ledger, Address::from_label("a"), 10, 2)
+            .unwrap();
+        let edits: [fn(&mut UtxoTx); 9] = [
+            |t| t.inputs[0].outpoint.txid = Digest::ZERO,
+            |t| t.inputs[0].outpoint.index += 1,
+            |t| t.inputs[0].pubkey = PublicKey(Digest::ZERO),
+            |t| {
+                t.inputs[0].signature = Keypair::wots_from_seed([9u8; 32])
+                    .sign(&Digest::ZERO)
+                    .unwrap();
+            },
+            |t| t.outputs[0].amount += 1,
+            |t| t.outputs[0].recipient = Address::from_label("b"),
+            |t| t.outputs.push(t.outputs[0].clone()),
+            |t| t.declared_fee += 1,
+            |t| t.coinbase_height += 1,
+        ];
+        for edit in edits {
+            let mut changed = tx.clone();
+            edit(&mut changed);
+            assert_ne!(changed.id(), tx.id());
+        }
     }
 }

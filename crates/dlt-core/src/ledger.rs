@@ -30,7 +30,7 @@ use dlt_dag::account::NanoAccount;
 use dlt_dag::lattice::{Lattice, LatticeParams};
 use dlt_sim::rng::SimRng;
 use dlt_sim::time::SimTime;
-use dlt_sim::trace::{TraceEvent, Tracer};
+use dlt_sim::trace::{TraceEvent, TraceLog};
 
 /// Where a submitted transfer stands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -566,7 +566,7 @@ pub fn run_workload(ledger: &mut dyn DistributedLedger, config: &WorkloadConfig)
     run_workload_traced(ledger, config, None)
 }
 
-/// [`run_workload`] with a [`Tracer`] observing the run: each rejected
+/// [`run_workload`] recording into a [`TraceLog`]: each rejected
 /// submission and each sampling milestone emits a [`TraceEvent::Mark`].
 /// The workload runs outside the discrete-event engine, so marks are
 /// the only event kind it produces; pass `None` (or call
@@ -574,7 +574,7 @@ pub fn run_workload(ledger: &mut dyn DistributedLedger, config: &WorkloadConfig)
 pub fn run_workload_traced(
     ledger: &mut dyn DistributedLedger,
     config: &WorkloadConfig,
-    mut tracer: Option<&mut (dyn Tracer + '_)>,
+    trace: Option<&TraceLog>,
 ) -> WorkloadReport {
     let mut rng = SimRng::new(config.seed);
     let actors = ledger.actor_count();
@@ -594,8 +594,8 @@ pub fn run_workload_traced(
             }
             offered += 1;
             if ledger.submit_transfer(from, to, config.amount).is_none() {
-                if let Some(tracer) = tracer.as_deref_mut() {
-                    tracer.trace(TraceEvent::Mark {
+                if let Some(log) = trace {
+                    log.push(TraceEvent::Mark {
                         at: now,
                         label: "workload.rejected",
                         value: offered,
@@ -610,13 +610,13 @@ pub fn run_workload_traced(
     // drain below exists to settle backlogs and in-flight receives for
     // the size/backlog statistics, and must not inflate the rate.
     let at_load_end = ledger.stats();
-    if let Some(tracer) = tracer.as_deref_mut() {
-        tracer.trace(TraceEvent::Mark {
+    if let Some(log) = trace {
+        log.push(TraceEvent::Mark {
             at: now,
             label: "workload.offered",
             value: offered,
         });
-        tracer.trace(TraceEvent::Mark {
+        log.push(TraceEvent::Mark {
             at: now,
             label: "workload.confirmed_at_load_end",
             value: at_load_end.confirmed,
@@ -627,8 +627,8 @@ pub fn run_workload_traced(
         ledger.advance(step);
         drained += step;
     }
-    if let Some(tracer) = tracer {
-        tracer.trace(TraceEvent::Mark {
+    if let Some(log) = trace {
+        log.push(TraceEvent::Mark {
             at: now.saturating_add(drained),
             label: "workload.confirmed_after_drain",
             value: ledger.stats().confirmed,
@@ -736,13 +736,11 @@ mod tests {
 
     #[test]
     fn traced_workload_emits_marks_and_matches_untraced_report() {
-        use dlt_sim::trace::RecordingTracer;
         let mut plain = fast_bitcoin(4);
         let untraced = run_workload(&mut plain, &config(0.5, 60));
-        let mut tracer = RecordingTracer::new();
-        let log = tracer.log();
+        let log = TraceLog::new();
         let mut traced_ledger = fast_bitcoin(4);
-        let traced = run_workload_traced(&mut traced_ledger, &config(0.5, 60), Some(&mut tracer));
+        let traced = run_workload_traced(&mut traced_ledger, &config(0.5, 60), Some(&log));
         // Tracing is pure observation: the report is identical.
         assert_eq!(traced.offered, untraced.offered);
         assert_eq!(traced.confirmed, untraced.confirmed);

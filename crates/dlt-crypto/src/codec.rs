@@ -1,7 +1,7 @@
 //! A compact, deterministic binary codec.
 //!
-//! Every on-ledger structure in the workspace implements [`Encode`] and
-//! [`Decode`]. The encoding serves two purposes:
+//! Every on-ledger structure in the workspace implements [`Encode`]. The
+//! encoding serves two purposes:
 //!
 //! 1. **Hashing preimages.** Block and transaction identifiers are the
 //!    hash of the encoded bytes, so the encoding must be deterministic
@@ -12,6 +12,13 @@
 //! Integers use LEB128-style varints so that small values (the common
 //! case for amounts, heights and counts) stay small, mirroring the
 //! compact-size encodings real ledgers use.
+//!
+//! [`Decode`] exists only where bytes are read back: account states,
+//! which the state trie stores encoded, and the signature family
+//! (`Signature`, its WOTS and MSS parts, Merkle proofs), whose tests
+//! rebuild tampered copies from bytes. Nothing decodes a block or a
+//! transaction: an id is the hash of the encoding and a ledger size a
+//! sum of encoded lengths.
 
 use std::fmt;
 
@@ -112,18 +119,21 @@ pub fn write_varint(mut value: u64, out: &mut Vec<u8>) {
     }
 }
 
-/// Reads a LEB128 varint `u64`.
+/// Reads a canonical LEB128 varint `u64`, the one form
+/// [`write_varint`] produces.
 ///
 /// # Errors
 ///
-/// Fails on truncation or a varint longer than 10 bytes.
+/// Fails on truncation, on a varint longer than 10 bytes, and on an
+/// overlong one: a zero final byte after the first (`[0x80, 0x00]` is
+/// not a second spelling of 0).
 pub fn read_varint(input: &mut &[u8]) -> Result<u64, DecodeError> {
     let mut value: u64 = 0;
     let mut shift = 0u32;
     loop {
         let (&byte, rest) = input.split_first().ok_or(DecodeError::UnexpectedEnd)?;
         *input = rest;
-        if shift == 63 && byte > 1 {
+        if (shift == 63 && byte > 1) || (shift > 0 && byte == 0) {
             return Err(DecodeError::InvalidVarint);
         }
         value |= u64::from(byte & 0x7f) << shift;
@@ -215,7 +225,7 @@ macro_rules! impl_varint_codec {
     )*};
 }
 
-impl_varint_codec!(u16, u32, u64);
+impl_varint_codec!(u32, u64);
 
 impl Encode for usize {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -233,30 +243,6 @@ impl Decode for usize {
     }
 }
 
-/// `f64` encodes as its IEEE-754 bit pattern, big-endian, 8 bytes.
-///
-/// Floats never appear in hashing preimages (block and transaction
-/// identity stays float-free); this impl exists so *configuration*
-/// payloads — latency models, rate parameters — can use the same codec
-/// as everything else. The bit-pattern encoding is exact and
-/// deterministic, including for negative zero.
-impl Encode for f64 {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_bits().to_be_bytes());
-    }
-    fn encoded_len(&self) -> usize {
-        8
-    }
-}
-
-impl Decode for f64 {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        let bytes = read_n(input, 8)?;
-        let arr: [u8; 8] = bytes.try_into().expect("read_n returned 8 bytes");
-        Ok(f64::from_bits(u64::from_be_bytes(arr)))
-    }
-}
-
 impl Encode for Digest {
     fn encode(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(self.as_bytes());
@@ -271,23 +257,6 @@ impl Decode for Digest {
         let bytes = read_n(input, 32)?;
         let arr: [u8; 32] = bytes.try_into().expect("read_n returned 32 bytes");
         Ok(Digest::from_bytes(arr))
-    }
-}
-
-impl Encode for String {
-    fn encode(&self, out: &mut Vec<u8>) {
-        write_varint(self.len() as u64, out);
-        out.extend_from_slice(self.as_bytes());
-    }
-    fn encoded_len(&self) -> usize {
-        varint_len(self.len() as u64) + self.len()
-    }
-}
-
-impl Decode for String {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        let bytes = Vec::<u8>::decode(input)?;
-        String::from_utf8(bytes).map_err(|_| DecodeError::Invalid("non-utf8 string"))
     }
 }
 
@@ -329,32 +298,6 @@ impl<T: Encode> Encode for Option<T> {
     }
     fn encoded_len(&self) -> usize {
         1 + self.as_ref().map_or(0, Encode::encoded_len)
-    }
-}
-
-impl<T: Decode> Decode for Option<T> {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        match u8::decode(input)? {
-            0 => Ok(None),
-            1 => Ok(Some(T::decode(input)?)),
-            t => Err(DecodeError::InvalidTag(t)),
-        }
-    }
-}
-
-impl<A: Encode, B: Encode> Encode for (A, B) {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.0.encode(out);
-        self.1.encode(out);
-    }
-    fn encoded_len(&self) -> usize {
-        self.0.encoded_len() + self.1.encoded_len()
-    }
-}
-
-impl<A: Decode, B: Decode> Decode for (A, B) {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok((A::decode(input)?, B::decode(input)?))
     }
 }
 
@@ -410,6 +353,30 @@ mod tests {
     }
 
     #[test]
+    fn varint_rejects_overlong_encodings() {
+        for bytes in [
+            &[0x80u8, 0x00][..],
+            &[0xff, 0x00],
+            &[0x81, 0x80, 0x00],
+            &[0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00],
+        ] {
+            let mut slice = bytes;
+            assert_eq!(
+                read_varint(&mut slice),
+                Err(DecodeError::InvalidVarint),
+                "{bytes:02x?}"
+            );
+        }
+        assert_eq!(
+            decode_exact::<u64>(&[0x81, 0x00]),
+            Err(DecodeError::InvalidVarint)
+        );
+        // The canonical two-byte form of 128 and a lone zero still decode.
+        assert_eq!(decode_exact::<u64>(&[0x80, 0x01]), Ok(128));
+        assert_eq!(decode_exact::<u64>(&[0x00]), Ok(0));
+    }
+
+    #[test]
     fn primitive_round_trips() {
         round_trip(0u8);
         round_trip(255u8);
@@ -418,12 +385,8 @@ mod tests {
         round_trip(12345u32);
         round_trip(u64::MAX);
         round_trip(usize::MAX);
-        round_trip(String::from("hello ledger"));
         round_trip(vec![1u8, 2, 3]);
         round_trip(Vec::<u8>::new());
-        round_trip(Some(42u64));
-        round_trip(Option::<u64>::None);
-        round_trip((7u32, String::from("pair")));
         round_trip(vec![sha256(b"a"), sha256(b"b")]);
     }
 
@@ -435,16 +398,6 @@ mod tests {
     #[test]
     fn digest_round_trip() {
         round_trip(sha256(b"digest"));
-    }
-
-    #[test]
-    fn f64_round_trips_exactly() {
-        for v in [0.0f64, -0.0, 1.5, -3.25, f64::MIN_POSITIVE, f64::MAX, 0.4] {
-            let bytes = v.encode_to_vec();
-            assert_eq!(bytes.len(), 8);
-            let back: f64 = decode_exact(&bytes).expect("decode");
-            assert_eq!(back.to_bits(), v.to_bits(), "bit-exact for {v}");
-        }
     }
 
     #[test]
@@ -463,22 +416,5 @@ mod tests {
         write_varint(u64::MAX, &mut buf);
         let err = decode_exact::<Vec<u8>>(&buf).unwrap_err();
         assert!(matches!(err, DecodeError::LengthTooLarge(_)));
-    }
-
-    #[test]
-    fn string_rejects_invalid_utf8() {
-        let mut buf = Vec::new();
-        write_varint(2, &mut buf);
-        buf.extend_from_slice(&[0xff, 0xfe]);
-        assert_eq!(
-            decode_exact::<String>(&buf),
-            Err(DecodeError::Invalid("non-utf8 string"))
-        );
-    }
-
-    #[test]
-    fn u16_range_enforced() {
-        let bytes = 70_000u64.encode_to_vec();
-        assert!(decode_exact::<u16>(&bytes).is_err());
     }
 }

@@ -12,8 +12,9 @@
 //!   hashes, with target/difficulty helpers used by proof-of-work.
 //! * [`hexutil`] — minimal hex encoding/decoding for display and tests.
 //! * [`codec`] — a compact, deterministic binary encoding
-//!   ([`Encode`](codec::Encode) / [`Decode`](codec::Decode)) used for
-//!   hashing preimages and for ledger-size accounting.
+//!   ([`Encode`](codec::Encode)) used for hashing preimages and for
+//!   ledger-size accounting, with a [`Decode`](codec::Decode) for the
+//!   few types whose bytes are read back (signatures, account states).
 //! * [`keys`] — key material and [`Address`](keys::Address) derivation.
 //! * [`wots`] — Winternitz one-time signatures, the one-time scheme
 //!   UTXO outputs are signed with.

@@ -34,7 +34,7 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
-use crate::codec::{Decode, DecodeError, Encode};
+use crate::codec::Encode;
 use crate::digest::Digest;
 use crate::sha256::sha256;
 
@@ -100,32 +100,6 @@ impl Encode for Node {
                 }
                 value.encode(out);
             }
-        }
-    }
-}
-
-impl Decode for Node {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        match u8::decode(input)? {
-            0 => Ok(Node::Leaf {
-                path: Vec::<u8>::decode(input)?,
-                value: Vec::<u8>::decode(input)?,
-            }),
-            1 => Ok(Node::Extension {
-                path: Vec::<u8>::decode(input)?,
-                child: Digest::decode(input)?,
-            }),
-            2 => {
-                let mut children: [Option<Digest>; 16] = Default::default();
-                for slot in children.iter_mut() {
-                    *slot = Option::<Digest>::decode(input)?;
-                }
-                Ok(Node::Branch {
-                    children: Box::new(children),
-                    value: Option::<Vec<u8>>::decode(input)?,
-                })
-            }
-            t => Err(DecodeError::InvalidTag(t)),
         }
     }
 }
@@ -868,7 +842,6 @@ mod tests {
 
     #[test]
     fn node_codec_round_trip() {
-        use crate::codec::decode_exact;
         let leaf = Node::Leaf {
             path: vec![1, 2, 3],
             value: b"v".to_vec(),
@@ -884,11 +857,18 @@ mod tests {
             children: Box::new(children),
             value: Some(b"bv".to_vec()),
         };
-        for node in [leaf, ext, branch] {
-            let back: Node = decode_exact(&node.encode_to_vec()).unwrap();
-            assert_eq!(back, node);
-            assert_eq!(back.hash(), node.hash());
+        // The encoding keeps each child's slot, not just the set of children.
+        children.swap(3, 4);
+        let moved = Node::Branch {
+            children: Box::new(children),
+            value: Some(b"bv".to_vec()),
+        };
+        let nodes = [leaf, ext, branch, moved];
+        for node in &nodes {
+            assert_eq!(node.encoded_len(), node.encode_to_vec().len());
         }
+        let hashes: std::collections::BTreeSet<Digest> = nodes.iter().map(Node::hash).collect();
+        assert_eq!(hashes.len(), nodes.len());
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! lottery — any node can compute it in bounded expected time; it just
 //! makes bulk spam expensive.
 
-use dlt_crypto::codec::{Decode, DecodeError, Encode};
+use dlt_crypto::codec::Encode;
 use dlt_crypto::keys::{Address, PublicKey, Signature};
 use dlt_crypto::sha256::Sha256;
 use dlt_crypto::Digest;
@@ -53,21 +53,6 @@ impl Encode for BlockKind {
                 source.encode(out);
             }
             BlockKind::Change => out.push(2),
-        }
-    }
-}
-
-impl Decode for BlockKind {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        match u8::decode(input)? {
-            0 => Ok(BlockKind::Send {
-                destination: Address::decode(input)?,
-            }),
-            1 => Ok(BlockKind::Receive {
-                source: Digest::decode(input)?,
-            }),
-            2 => Ok(BlockKind::Change),
-            t => Err(DecodeError::InvalidTag(t)),
         }
     }
 }
@@ -225,21 +210,6 @@ impl Encode for LatticeBlock {
     }
 }
 
-impl Decode for LatticeBlock {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(LatticeBlock {
-            account: Address::decode(input)?,
-            account_key: PublicKey::decode(input)?,
-            previous: Digest::decode(input)?,
-            representative: Address::decode(input)?,
-            balance: u64::decode(input)?,
-            kind: BlockKind::decode(input)?,
-            work: u64::decode(input)?,
-            signature: Signature::decode(input)?,
-        })
-    }
-}
-
 /// This block with the last part of its WOTS signature flipped in the
 /// encoded bytes: the same hash, so the same signed message, and a
 /// freshly decoded signature that does not verify.
@@ -354,7 +324,7 @@ mod tests {
 
     #[test]
     fn codec_round_trip() {
-        use dlt_crypto::codec::decode_exact;
+        let mut encodings = std::collections::BTreeSet::new();
         for kind in [
             BlockKind::Send {
                 destination: Address::from_label("d"),
@@ -366,9 +336,39 @@ mod tests {
         ] {
             let mut block = sample_block(sha256(b"prev"));
             block.kind = kind;
-            let back: LatticeBlock = decode_exact(&block.encode_to_vec()).unwrap();
-            assert_eq!(back, block);
-            assert_eq!(back.hash(), block.hash());
+            let bytes = block.encode_to_vec();
+            assert_eq!(block.size_bytes(), bytes.len());
+            encodings.insert(bytes);
+        }
+        assert_eq!(encodings.len(), 3, "each kind encodes differently");
+    }
+
+    #[test]
+    fn encoding_changes_with_any_field() {
+        let block = sample_block(sha256(b"prev"));
+        let edits: [fn(&mut LatticeBlock); 9] = [
+            |b| b.account = Address::from_label("other"),
+            |b| b.account_key = PublicKey(Digest::ZERO),
+            |b| b.previous = Digest::ZERO,
+            |b| b.representative = Address::from_label("other-rep"),
+            |b| b.balance += 1,
+            |b| {
+                b.kind = BlockKind::Send {
+                    destination: Address::from_label("other-dest"),
+                }
+            },
+            |b| b.kind = BlockKind::Change,
+            |b| b.work += 1,
+            |b| {
+                b.signature = Keypair::wots_from_seed([9u8; 32])
+                    .sign(&Digest::ZERO)
+                    .unwrap()
+            },
+        ];
+        for edit in edits {
+            let mut changed = block.clone();
+            edit(&mut changed);
+            assert_ne!(changed.encode_to_vec(), block.encode_to_vec());
         }
     }
 

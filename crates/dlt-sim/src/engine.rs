@@ -17,8 +17,8 @@
 //! one buffer the engine reuses, and a broadcast walks the peer list
 //! in place; the engine's own counters go through pre-interned
 //! [`crate::metrics::CounterId`] handles. Every send, schedule,
-//! dispatch, and network-drop point also calls the installed
-//! [`Tracer`] (none by default — see [`Simulation::set_tracer`]), and
+//! dispatch, and network-drop point also pushes into the installed
+//! [`TraceLog`] (none by default — see [`Simulation::set_tracer`]), and
 //! every send consults the installed fault [`Interceptor`] (none by
 //! default — see [`Simulation::set_interceptor`]).
 //!
@@ -48,7 +48,7 @@ use crate::network::{Network, NodeId};
 use crate::rng::SimRng;
 use crate::shard::mix;
 use crate::time::SimTime;
-use crate::trace::{EventKind, TraceEvent, Tracer};
+use crate::trace::{EventKind, TraceEvent, TraceLog};
 
 /// A shared, immutable message payload. One broadcast allocates the
 /// message once; every scheduled delivery and every relay hop shares
@@ -164,7 +164,7 @@ struct Core<M> {
     net_messages: CounterId,
     // Observation and fault-injection / replay hooks; `None` keeps
     // the emit points and the send path on their plain branches.
-    tracer: Option<Box<dyn Tracer>>,
+    tracer: Option<TraceLog>,
     interceptor: Option<Box<dyn Interceptor>>,
     // Every dispatched event is folded into this hash, so two runs of
     // the same seeded workload can be compared event-for-event without
@@ -188,8 +188,8 @@ impl<M> Core<M> {
     fn schedule(&mut self, at: SimTime, event: Event<M>) {
         let seq = self.seq;
         self.seq += 1;
-        if let Some(tracer) = self.tracer.as_deref_mut() {
-            tracer.trace(TraceEvent::Schedule {
+        if let Some(log) = &self.tracer {
+            log.push(TraceEvent::Schedule {
                 at,
                 seq,
                 kind: event.kind(),
@@ -205,8 +205,8 @@ impl<M> Core<M> {
         if let Some(interceptor) = self.interceptor.as_deref_mut() {
             interceptor.intercept(self.now, from, to, &mut deliveries);
         }
-        if let Some(tracer) = self.tracer.as_deref_mut() {
-            tracer.trace(TraceEvent::Sent {
+        if let Some(log) = &self.tracer {
+            log.push(TraceEvent::Sent {
                 at: self.now,
                 from,
                 to,
@@ -214,8 +214,8 @@ impl<M> Core<M> {
             });
         }
         if deliveries.is_empty() {
-            if let Some(tracer) = self.tracer.as_deref_mut() {
-                tracer.trace(TraceEvent::Dropped {
+            if let Some(log) = &self.tracer {
+                log.push(TraceEvent::Dropped {
                     at: self.now,
                     from,
                     to,
@@ -237,8 +237,8 @@ impl<M> Core<M> {
     }
 
     fn mark(&mut self, label: &'static str, value: u64) {
-        if let Some(tracer) = self.tracer.as_deref_mut() {
-            tracer.trace(TraceEvent::Mark {
+        if let Some(log) = &self.tracer {
+            log.push(TraceEvent::Mark {
                 at: self.now,
                 label,
                 value,
@@ -280,8 +280,8 @@ impl<'a, M> Context<'a, M> {
         &mut self.core.metrics
     }
 
-    /// Emits a protocol-level [`TraceEvent::Mark`] to the installed
-    /// tracer (free when tracing is off).
+    /// Emits a protocol-level [`TraceEvent::Mark`] into the installed
+    /// trace log (free when tracing is off).
     pub fn trace_mark(&mut self, label: &'static str, value: u64) {
         self.core.mark(label, value);
     }
@@ -384,11 +384,12 @@ impl<M, N: SimNode<M>> Simulation<M, N> {
         }
     }
 
-    /// Installs a tracer that will observe every schedule, dispatch,
-    /// and drop from now on. Install before adding nodes to capture
-    /// `on_start` activity too.
-    pub fn set_tracer(&mut self, tracer: impl Tracer + 'static) {
-        self.core.tracer = Some(Box::new(tracer));
+    /// Records every send, schedule, dispatch, drop and mark into
+    /// `log` from now on. Install before adding nodes to capture
+    /// `on_start` activity too. Clones of a [`TraceLog`] share one
+    /// buffer, so the caller keeps a clone to read the events.
+    pub fn set_tracer(&mut self, log: TraceLog) {
+        self.core.tracer = Some(log);
     }
 
     /// Installs a fault-injection (or replay) interceptor that will
@@ -522,8 +523,8 @@ impl<M, N: SimNode<M>> Simulation<M, N> {
         };
         debug_assert!(scheduled.at >= self.core.now, "time went backwards");
         self.core.now = scheduled.at;
-        if let Some(tracer) = self.core.tracer.as_deref_mut() {
-            tracer.trace(TraceEvent::Dispatch {
+        if let Some(log) = &self.core.tracer {
+            log.push(TraceEvent::Dispatch {
                 at: scheduled.at,
                 seq: scheduled.seq,
                 kind: scheduled.event.kind(),
@@ -620,7 +621,6 @@ mod tests {
     use std::collections::BTreeSet;
 
     use crate::fault::FaultInterceptor;
-    use crate::trace::RecordingTracer;
 
     #[derive(Debug, Clone, PartialEq)]
     enum Msg {
@@ -959,7 +959,7 @@ mod tests {
     fn tracer_is_none_until_installed() {
         let mut sim: Simulation<Msg, Recorder> = Simulation::new(14, fixed(1));
         assert!(sim.core.tracer.is_none());
-        sim.set_tracer(RecordingTracer::new());
+        sim.set_tracer(TraceLog::new());
         assert!(sim.core.tracer.is_some());
     }
 
@@ -998,10 +998,9 @@ mod tests {
 
     #[test]
     fn recording_tracer_observes_schedule_dispatch_and_drop() {
-        let tracer = RecordingTracer::new();
-        let log = tracer.log();
+        let log = TraceLog::new();
         let mut sim = Simulation::new(13, fixed(10));
-        sim.set_tracer(tracer);
+        sim.set_tracer(log.clone());
         let a = sim.add_node(Recorder::default());
         let b = sim.add_node(Recorder::default());
         sim.send_external(a, b, Msg::Ping(1));
@@ -1081,10 +1080,9 @@ mod tests {
 
     #[test]
     fn interceptor_drop_still_counts_as_dropped() {
-        let tracer = RecordingTracer::new();
-        let log = tracer.log();
+        let log = TraceLog::new();
         let mut sim = Simulation::new(22, fixed(10));
-        sim.set_tracer(tracer);
+        sim.set_tracer(log.clone());
         let a = sim.add_node(Recorder::default());
         let b = sim.add_node(Recorder::default());
         sim.set_interceptor(FaultInterceptor::new(2).drop_messages(1.0));
@@ -1149,14 +1147,13 @@ mod tests {
             configure: impl FnOnce(&mut Simulation<Msg, Broadcaster>),
             broadcaster: NodeId,
         ) -> Vec<(usize, u32)> {
-            let tracer = RecordingTracer::new();
-            let log = tracer.log();
+            let log = TraceLog::new();
             let mut sim = Simulation::new(24, fixed(10));
             for _ in 0..4 {
                 sim.add_node(Broadcaster);
             }
             configure(&mut sim);
-            sim.set_tracer(tracer);
+            sim.set_tracer(log.clone());
             sim.deliver_at(SimTime::ZERO, broadcaster, broadcaster, Msg::Ping(0));
             sim.step();
             log.snapshot()
@@ -1238,10 +1235,9 @@ mod tests {
         }
 
         // Record a faulty run.
-        let tracer = RecordingTracer::new();
-        let log = tracer.log();
+        let log = TraceLog::new();
         let mut recording = build(77);
-        recording.set_tracer(tracer);
+        recording.set_tracer(log.clone());
         recording.set_interceptor(
             FaultInterceptor::new(5)
                 .drop_messages(0.2)

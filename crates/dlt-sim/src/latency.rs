@@ -5,8 +5,6 @@
 //! experiments therefore sweep latency models; this module provides the
 //! three shapes they use.
 
-use dlt_crypto::codec::{Decode, DecodeError, Encode};
-
 use crate::rng::SimRng;
 use crate::time::SimTime;
 
@@ -81,67 +79,9 @@ impl LatencyModel {
     }
 }
 
-impl Encode for LatencyModel {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match *self {
-            LatencyModel::Fixed(delay) => {
-                out.push(0);
-                delay.encode(out);
-            }
-            LatencyModel::Uniform { min, max } => {
-                out.push(1);
-                min.encode(out);
-                max.encode(out);
-            }
-            LatencyModel::LogNormal { median, sigma } => {
-                out.push(2);
-                median.encode(out);
-                sigma.encode(out);
-            }
-        }
-    }
-}
-
-impl Decode for LatencyModel {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        match u8::decode(input)? {
-            0 => Ok(LatencyModel::Fixed(SimTime::decode(input)?)),
-            1 => Ok(LatencyModel::Uniform {
-                min: SimTime::decode(input)?,
-                max: SimTime::decode(input)?,
-            }),
-            2 => Ok(LatencyModel::LogNormal {
-                median: SimTime::decode(input)?,
-                sigma: f64::decode(input)?,
-            }),
-            t => Err(DecodeError::InvalidTag(t)),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dlt_crypto::codec::decode_exact;
-
-    #[test]
-    fn codec_round_trip_all_variants() {
-        for model in [
-            LatencyModel::Fixed(SimTime::from_millis(25)),
-            LatencyModel::lan(),
-            LatencyModel::wan(),
-        ] {
-            let bytes = model.encode_to_vec();
-            assert_eq!(bytes.len(), model.encoded_len());
-            let back: LatencyModel = decode_exact(&bytes).unwrap();
-            assert_eq!(back, model);
-        }
-        assert!(matches!(
-            decode_exact::<LatencyModel>(&[9]),
-            Err(DecodeError::InvalidTag(9))
-        ));
-    }
-
     #[test]
     fn fixed_is_constant() {
         let model = LatencyModel::Fixed(SimTime::from_millis(25));

@@ -20,9 +20,9 @@
 //! * [`metrics`] — counters and histograms with percentile queries, the
 //!   raw material of every experiment table. Hot paths use pre-interned
 //!   [`metrics::CounterId`]/[`metrics::SeriesId`] handles.
-//! * [`trace`] — the [`trace::Tracer`] hook the engine calls at every
-//!   send/schedule/dispatch/drop point, with a recording implementation
-//!   for tests and the `DLT_TRACE` experiment mode.
+//! * [`trace`] — the [`trace::TraceLog`] the engine records into at
+//!   every send/schedule/dispatch/drop point, for tests and the
+//!   `DLT_TRACE` experiment mode.
 //! * [`fault`] — the [`fault::Interceptor`] hook the engine consults on
 //!   every send, and the one way faults enter a run: seed-driven fault
 //!   policies (drop, delay, duplicate, reorder, partition, Byzantine

@@ -8,8 +8,6 @@
 //! §IV-A are injected by a [`FaultInterceptor`](crate::fault::FaultInterceptor),
 //! which rewrites the deliveries the network decided.
 
-use dlt_crypto::codec::{Decode, DecodeError, Encode};
-
 use crate::latency::LatencyModel;
 use crate::rng::SimRng;
 use crate::time::SimTime;
@@ -21,21 +19,6 @@ pub struct NodeId(pub usize);
 impl std::fmt::Display for NodeId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "n{}", self.0)
-    }
-}
-
-impl Encode for NodeId {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.0.encode(out);
-    }
-    fn encoded_len(&self) -> usize {
-        self.0.encoded_len()
-    }
-}
-
-impl Decode for NodeId {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(NodeId(usize::decode(input)?))
     }
 }
 
@@ -126,16 +109,6 @@ mod tests {
         let mut out = vec![SimTime::from_secs(99)];
         n.deliveries(NodeId(0), NodeId(1), rng, &mut out);
         out
-    }
-
-    #[test]
-    fn node_id_codec_round_trip() {
-        for id in [NodeId(0), NodeId(7), NodeId(usize::MAX)] {
-            let bytes = id.encode_to_vec();
-            assert_eq!(bytes.len(), id.encoded_len());
-            let back: NodeId = dlt_crypto::codec::decode_exact(&bytes).unwrap();
-            assert_eq!(back, id);
-        }
     }
 
     #[test]

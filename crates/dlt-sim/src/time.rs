@@ -9,8 +9,6 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
-use dlt_crypto::codec::{Decode, DecodeError, Encode};
-
 /// A point in simulated time (or a duration), in microseconds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
@@ -106,21 +104,6 @@ impl Sub for SimTime {
     }
 }
 
-impl Encode for SimTime {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.0.encode(out);
-    }
-    fn encoded_len(&self) -> usize {
-        self.0.encoded_len()
-    }
-}
-
-impl Decode for SimTime {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(SimTime(u64::decode(input)?))
-    }
-}
-
 impl fmt::Display for SimTime {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let micros = self.0;
@@ -139,16 +122,6 @@ impl fmt::Display for SimTime {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn codec_round_trip() {
-        for t in [SimTime::ZERO, SimTime::from_millis(80), SimTime::MAX] {
-            let bytes = t.encode_to_vec();
-            assert_eq!(bytes.len(), t.encoded_len());
-            let back: SimTime = dlt_crypto::codec::decode_exact(&bytes).unwrap();
-            assert_eq!(back, t);
-        }
-    }
 
     #[test]
     fn constructors_agree() {

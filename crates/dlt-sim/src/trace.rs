@@ -1,13 +1,13 @@
-//! Event tracing hooks for the discrete-event engine.
+//! Event tracing for the discrete-event engine.
 //!
-//! The engine calls a [`Tracer`] at every send, schedule, dispatch,
-//! and network-drop point; protocol code can add its own
+//! The engine pushes a [`TraceEvent`] into its installed [`TraceLog`]
+//! (`Simulation::set_tracer`) at every send, schedule, dispatch, and
+//! network-drop point; protocol code can add its own
 //! [`TraceEvent::Mark`] observations through `Context::trace_mark`. With
-//! no tracer installed the engine skips event construction entirely on
-//! the hot path. A [`RecordingTracer`]
-//! captures events into a shared buffer for tests and for the
-//! `DLT_TRACE` experiment-binary mode, and the buffer renders to
-//! deterministic JSON via `dlt_testkit::json`.
+//! no log installed the engine skips event construction entirely on
+//! the hot path. The log is a shared buffer, read by tests and by the
+//! `DLT_TRACE` experiment-binary mode, and renders to deterministic
+//! JSON via `dlt_testkit::json`.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -94,16 +94,8 @@ pub enum TraceEvent {
     },
 }
 
-/// Receives engine trace events. Implementations must be cheap: an
-/// installed tracer sees every event on the hot path.
-pub trait Tracer {
-    /// Consumes one event.
-    fn trace(&mut self, event: TraceEvent);
-}
-
-/// A shared handle onto a [`RecordingTracer`]'s event buffer. Clones
-/// share the same buffer, so callers can keep a handle while the
-/// tracer itself is moved into the engine.
+/// A shared buffer of trace events. Clones share the same buffer, so
+/// callers keep a handle while a clone is moved into the engine.
 #[derive(Debug, Clone, Default)]
 pub struct TraceLog(Rc<RefCell<Vec<TraceEvent>>>);
 
@@ -128,8 +120,8 @@ impl TraceLog {
         self.0.borrow().clone()
     }
 
-    /// Appends one event directly (used by experiment harnesses to
-    /// add marks outside any engine).
+    /// Appends one event (the engine's emit points, and experiment
+    /// harnesses adding marks outside any engine).
     pub fn push(&self, event: TraceEvent) {
         self.0.borrow_mut().push(event);
     }
@@ -208,45 +200,16 @@ fn event_to_json(event: &TraceEvent) -> Json {
     Json::Object(obj)
 }
 
-/// A tracer that appends every event to a shared [`TraceLog`].
-#[derive(Debug, Clone, Default)]
-pub struct RecordingTracer {
-    log: TraceLog,
-}
-
-impl RecordingTracer {
-    /// Creates a tracer with a fresh buffer.
-    pub fn new() -> Self {
-        RecordingTracer::default()
-    }
-
-    /// Creates a tracer that appends into an existing shared log.
-    pub fn sharing(log: TraceLog) -> Self {
-        RecordingTracer { log }
-    }
-
-    /// A shared handle onto this tracer's buffer.
-    pub fn log(&self) -> TraceLog {
-        self.log.clone()
-    }
-}
-
-impl Tracer for RecordingTracer {
-    fn trace(&mut self, event: TraceEvent) {
-        self.log.push(event);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn recording_tracer_shares_its_buffer() {
-        let mut tracer = RecordingTracer::new();
-        let log = tracer.log();
+        let tracer = TraceLog::new();
+        let log = tracer.clone();
         assert!(log.is_empty());
-        tracer.trace(TraceEvent::Mark {
+        tracer.push(TraceEvent::Mark {
             at: SimTime::ZERO,
             label: "x",
             value: 7,

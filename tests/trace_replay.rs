@@ -29,7 +29,7 @@ use dlt_sim::fault::{FaultInterceptor, ReplayInterceptor, ReplayScript};
 use dlt_sim::latency::LatencyModel;
 use dlt_sim::network::NodeId;
 use dlt_sim::time::SimTime;
-use dlt_sim::trace::{RecordingTracer, TraceEvent};
+use dlt_sim::trace::{TraceEvent, TraceLog};
 
 fn fixture_path() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -83,9 +83,8 @@ fn faults() -> FaultInterceptor {
 /// newline, as committed) and the metrics rendering.
 fn record() -> (String, String) {
     let mut sim = fork_run();
-    let tracer = RecordingTracer::new();
-    let log = tracer.log();
-    sim.set_tracer(tracer);
+    let log = TraceLog::new();
+    sim.set_tracer(log.clone());
     sim.set_interceptor(faults());
     sim.run_until(RUN_FOR);
     (format!("{}\n", log.to_json()), format!("{}", sim.metrics()))
@@ -101,9 +100,8 @@ fn replay(script_text: &str) -> (String, String) {
     let cursor = replayer.cursor();
 
     let mut sim = fork_run();
-    let tracer = RecordingTracer::new();
-    let log = tracer.log();
-    sim.set_tracer(tracer);
+    let log = TraceLog::new();
+    sim.set_tracer(log.clone());
     sim.set_interceptor(replayer);
     sim.run_until(RUN_FOR);
 
@@ -216,9 +214,8 @@ dlt_testkit::prop! {
                     .reorder(reorder_p, SimTime::from_millis(window_ms))
                     .lag_nodes(&[NodeId(lag_victim)], SimTime::from_millis(250)),
             );
-            let tracer = RecordingTracer::new();
-            let log = tracer.log();
-            sim.set_tracer(tracer);
+            let log = TraceLog::new();
+            sim.set_tracer(log.clone());
             sim.deliver_at(SimTime::from_millis(1), NodeId(0), NodeId(0), 6u64);
             sim.run_until_idle(SimTime::from_secs(30));
             log.snapshot()
