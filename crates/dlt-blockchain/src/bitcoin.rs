@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 use dlt_crypto::keys::Address;
 use dlt_crypto::Digest;
 
-use crate::block::{Block, BlockHeader, LedgerTx};
+use crate::block::{Block, BlockHeader, LedgerTx, SharedBlock};
 use crate::chain::{ChainStore, InsertOutcome};
 use crate::mempool::Mempool;
 use crate::utxo::{BlockStage, BlockUndo, UtxoError, UtxoLedger, UtxoTx};
@@ -160,17 +160,18 @@ impl BitcoinChain {
 
     /// Offers a transaction to the mempool.
     pub fn submit_tx(&mut self, tx: UtxoTx) -> bool {
-        self.mempool.insert(tx)
+        self.mempool.insert(tx.id(), tx)
     }
 
     /// Assembles, applies and stores a block on the current tip,
-    /// crediting `miner`. Returns the block.
+    /// crediting `miner`. Returns the block: the allocation the store
+    /// holds, its transactions hashed once.
     ///
     /// # Panics
     ///
     /// Panics if mempool contents that were valid against the active
     /// ledger fail to apply (an internal-consistency bug).
-    pub fn mine_block(&mut self, miner: Address, timestamp_micros: u64) -> Block<UtxoTx> {
+    pub fn mine_block(&mut self, miner: Address, timestamp_micros: u64) -> SharedBlock<UtxoTx> {
         let parent_id = self.chain.tip();
         let parent = self.chain.header(&parent_id).expect("tip exists");
         let height = parent.height + 1;
@@ -201,7 +202,7 @@ impl BitcoinChain {
             height,
             ..self.header_template(timestamp_micros)
         };
-        let block = Block::new(header, txs);
+        let block = SharedBlock::build(header, txs);
         self.receive_block(block.clone())
             .expect("locally assembled blocks are valid");
         block
@@ -233,7 +234,10 @@ impl BitcoinChain {
     /// violations (double spends, bad signatures) are rejected; in the
     /// latter case the offending branch is expunged and the previous
     /// active chain restored.
-    pub fn receive_block(&mut self, block: Block<UtxoTx>) -> Result<InsertOutcome, BitcoinError> {
+    pub fn receive_block(
+        &mut self,
+        block: impl Into<SharedBlock<UtxoTx>>,
+    ) -> Result<InsertOutcome, BitcoinError> {
         let outcome = self.chain.insert(block);
         match &outcome {
             InsertOutcome::Rejected(err) => return Err(BitcoinError::Structure(*err)),
@@ -314,16 +318,15 @@ impl BitcoinChain {
         }
 
         // Mempool bookkeeping: orphaned txs return, confirmed txs leave.
-        let mut reinstated = Vec::new();
         for id in &reverted {
-            if let Some(block) = self.chain.block(id) {
-                reinstated.extend(block.txs.iter().filter(|t| !t.is_coinbase()).cloned());
+            if let Some(block) = self.chain.shared_block(id) {
+                self.mempool.reinstate(block);
             }
         }
-        self.mempool.reinstate(reinstated);
         for id in &applied {
-            if let Some(ids) = self.chain.tx_ids(id) {
-                self.mempool.remove_confirmed(ids.iter().copied());
+            if let Some(block) = self.chain.shared_block(id) {
+                self.mempool
+                    .remove_confirmed(block.tx_ids().iter().copied());
             }
         }
         Ok(())

@@ -9,6 +9,15 @@
 //!
 //! Transactions are abstracted by [`LedgerTx`] so the chain store,
 //! mempool and miner are shared between the UTXO and account models.
+//!
+//! A [`SharedBlock`] is one immutable allocation of a block together
+//! with its header id and transaction ids, hashed once when it is
+//! built. Gossip, every node's chain store and the miner that produced
+//! it hold the same allocation, so relaying or storing a block copies a
+//! pointer and no holder hashes its transactions again.
+
+use std::ops::Deref;
+use std::rc::Rc;
 
 use dlt_crypto::codec::Encode;
 use dlt_crypto::keys::Address;
@@ -172,6 +181,89 @@ impl<T: LedgerTx> Block<T> {
     }
 }
 
+/// A block behind one shared, immutable allocation, with the ids every
+/// holder would otherwise recompute: the header id, the transaction ids
+/// in block order, and whether their Merkle root matches the header.
+///
+/// Cloning copies a pointer. There is no setter: the ids are computed
+/// from the content once, in [`SharedBlock::new`] or
+/// [`SharedBlock::build`], and the content cannot change afterwards.
+/// It dereferences to the [`Block`].
+#[derive(Debug, PartialEq, Eq)]
+pub struct SharedBlock<T>(Rc<HashedBlock<T>>);
+
+#[derive(Debug, PartialEq, Eq)]
+struct HashedBlock<T> {
+    block: Block<T>,
+    id: Digest,
+    tx_ids: Vec<Digest>,
+    merkle_root_valid: bool,
+}
+
+impl<T: LedgerTx> SharedBlock<T> {
+    /// Wraps a block as received, hashing each transaction once. A
+    /// block whose transactions do not match its header's Merkle root
+    /// is still wrapped; [`SharedBlock::merkle_root_valid`] says so.
+    pub fn new(block: Block<T>) -> Self {
+        let tx_ids: Vec<Digest> = block.txs.iter().map(LedgerTx::id).collect();
+        let merkle_root_valid = merkle_root(&tx_ids) == block.header.merkle_root;
+        Self::seal(block, tx_ids, merkle_root_valid)
+    }
+
+    /// Assembles a block over `txs` as [`Block::new`] does, keeping the
+    /// transaction ids its Merkle root was computed from.
+    pub fn build(mut header: BlockHeader, txs: Vec<T>) -> Self {
+        let tx_ids: Vec<Digest> = txs.iter().map(LedgerTx::id).collect();
+        header.merkle_root = merkle_root(&tx_ids);
+        Self::seal(Block { header, txs }, tx_ids, true)
+    }
+
+    fn seal(block: Block<T>, tx_ids: Vec<Digest>, merkle_root_valid: bool) -> Self {
+        SharedBlock(Rc::new(HashedBlock {
+            id: block.header.id(),
+            block,
+            tx_ids,
+            merkle_root_valid,
+        }))
+    }
+
+    /// The block identifier (the header hash), computed once.
+    pub fn id(&self) -> Digest {
+        self.0.id
+    }
+
+    /// The transaction ids, in block order, computed once.
+    pub fn tx_ids(&self) -> &[Digest] {
+        &self.0.tx_ids
+    }
+
+    /// Whether the header's Merkle root commits to these transactions
+    /// (paper Fig. 1), checked once over [`SharedBlock::tx_ids`].
+    pub fn merkle_root_valid(&self) -> bool {
+        self.0.merkle_root_valid
+    }
+}
+
+impl<T> Clone for SharedBlock<T> {
+    fn clone(&self) -> Self {
+        SharedBlock(Rc::clone(&self.0))
+    }
+}
+
+impl<T> Deref for SharedBlock<T> {
+    type Target = Block<T>;
+
+    fn deref(&self) -> &Block<T> {
+        &self.0.block
+    }
+}
+
+impl<T: LedgerTx> From<Block<T>> for SharedBlock<T> {
+    fn from(block: Block<T>) -> Self {
+        SharedBlock::new(block)
+    }
+}
+
 /// Public test-support helpers: a minimal transaction and block
 /// constructors for chain-level tests in downstream crates that do not
 /// care about UTXO/account semantics. Not part of the stable ledger
@@ -248,6 +340,17 @@ pub(crate) mod testutil {
     //! care about UTXO/account semantics.
     use super::*;
     use dlt_crypto::sha256::sha256;
+    use std::cell::Cell;
+
+    std::thread_local! {
+        static ID_CALLS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// How many times [`TestTx::id`] has run in the calling test (each
+    /// test runs on its own thread).
+    pub fn id_calls() -> u64 {
+        ID_CALLS.get()
+    }
 
     /// A dummy transaction with explicit fee and weight.
     #[derive(Debug, Clone, PartialEq, Eq)]
@@ -269,6 +372,7 @@ pub(crate) mod testutil {
 
     impl LedgerTx for TestTx {
         fn id(&self) -> Digest {
+            ID_CALLS.set(ID_CALLS.get() + 1);
             sha256(&self.tag.to_be_bytes())
         }
         fn fee(&self) -> u64 {
@@ -302,7 +406,7 @@ pub(crate) mod testutil {
 
 #[cfg(test)]
 mod tests {
-    use super::testutil::{header, TestTx};
+    use super::testutil::{self, header, TestTx};
     use super::*;
 
     #[test]
@@ -349,6 +453,25 @@ mod tests {
         assert!(block.merkle_root_valid());
         block.txs[2].tag = 999;
         assert!(!block.merkle_root_valid());
+    }
+
+    #[test]
+    fn shared_block_hashes_each_tx_once_and_shares_on_clone() {
+        let txs: Vec<TestTx> = (0..5).map(TestTx::new).collect();
+        let ids: Vec<Digest> = txs.iter().map(TestTx::id).collect();
+        let before = testutil::id_calls();
+        let shared = SharedBlock::build(header(Digest::ZERO, 0), txs);
+        assert_eq!(testutil::id_calls() - before, 5);
+        let copy = shared.clone();
+        assert_eq!(copy.tx_ids(), ids.as_slice());
+        assert_eq!(copy.id(), shared.header.id());
+        assert!(std::ptr::eq::<Block<TestTx>>(&*copy, &*shared));
+        assert!(copy.merkle_root_valid());
+        assert_eq!(testutil::id_calls() - before, 5, "a clone hashes nothing");
+        assert_eq!(
+            *shared,
+            Block::new(shared.header.clone(), shared.txs.clone())
+        );
     }
 
     #[test]

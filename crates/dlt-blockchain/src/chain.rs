@@ -15,18 +15,19 @@
 //! pool and are connected when the parent shows up (out-of-order
 //! gossip delivery is routine in the simulations).
 //!
-//! Transaction ids are hashed once, when a block is offered (the Merkle
-//! check needs them anyway), and kept beside the block. A
+//! The store keeps each block as the [`SharedBlock`] it was offered:
+//! the allocation gossip delivered, with its transaction ids hashed
+//! once per allocation, not once per store. So storing a block copies
+//! a pointer, and the Merkle check reads the shared ids. A
 //! `(tx id, height)` index over the active chain, maintained on every
 //! connect and disconnect, answers [`ChainStore::tx_confirmations`]
 //! without scanning the chain.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use dlt_crypto::merkle::merkle_root;
 use dlt_crypto::Digest;
 
-use crate::block::{Block, BlockHeader, LedgerTx};
+use crate::block::{Block, BlockHeader, LedgerTx, SharedBlock};
 use crate::pow::pow_valid;
 
 /// Why a block was rejected outright.
@@ -92,23 +93,9 @@ pub enum InsertOutcome {
 }
 
 struct StoredBlock<T> {
-    block: Block<T>,
-    /// The block's transaction ids, in block order.
-    tx_ids: Vec<Digest>,
+    block: SharedBlock<T>,
     chainwork: u128,
     arrival: u64,
-}
-
-/// A block that passed `insert`'s stateless checks, with the ids
-/// computed there: what the orphan pool holds and `connect` takes.
-struct Offered<T> {
-    id: Digest,
-    block: Block<T>,
-    tx_ids: Vec<Digest>,
-}
-
-fn tx_ids_of<T: LedgerTx>(block: &Block<T>) -> Vec<Digest> {
-    block.txs.iter().map(LedgerTx::id).collect()
 }
 
 /// Maximum blocks the orphan pool holds before evicting the oldest.
@@ -119,7 +106,7 @@ pub struct ChainStore<T> {
     blocks: BTreeMap<Digest, StoredBlock<T>>,
     children: BTreeMap<Digest, Vec<Digest>>,
     /// Orphans keyed by the missing parent id.
-    orphans: BTreeMap<Digest, Vec<Offered<T>>>,
+    orphans: BTreeMap<Digest, Vec<SharedBlock<T>>>,
     /// Ids of every pooled orphan.
     orphan_ids: BTreeSet<Digest>,
     /// Missing-parent ids in orphan arrival order (eviction order).
@@ -144,17 +131,16 @@ impl<T: LedgerTx> ChainStore<T> {
     /// Panics if `genesis` is not a genesis block (non-zero parent or
     /// non-zero height).
     pub fn new(genesis: Block<T>, validate_pow: bool) -> Self {
+        let genesis = SharedBlock::new(genesis);
         assert!(genesis.header.is_genesis(), "genesis block required");
         let id = genesis.id();
-        let tx_ids = tx_ids_of(&genesis);
-        let tx_index = tx_ids.iter().map(|tx| (*tx, 0)).collect();
+        let tx_index = genesis.tx_ids().iter().map(|tx| (*tx, 0)).collect();
         let mut blocks = BTreeMap::new();
         blocks.insert(
             id,
             StoredBlock {
                 chainwork: u128::from(genesis.header.difficulty),
                 block: genesis,
-                tx_ids,
                 arrival: 0,
             },
         );
@@ -189,12 +175,13 @@ impl<T: LedgerTx> ChainStore<T> {
 
     /// The stored block for an id, if known.
     pub fn block(&self, id: &Digest) -> Option<&Block<T>> {
-        self.blocks.get(id).map(|s| &s.block)
+        self.blocks.get(id).map(|s| &*s.block)
     }
 
-    /// The transaction ids of a stored block, in block order.
-    pub fn tx_ids(&self, id: &Digest) -> Option<&[Digest]> {
-        self.blocks.get(id).map(|s| s.tx_ids.as_slice())
+    /// The stored block for an id, with its transaction ids in block
+    /// order, if known.
+    pub fn shared_block(&self, id: &Digest) -> Option<&SharedBlock<T>> {
+        self.blocks.get(id).map(|s| &s.block)
     }
 
     /// The header for an id, if known.
@@ -270,7 +257,12 @@ impl<T: LedgerTx> ChainStore<T> {
 
     /// Inserts a block, updating the tip if the block's branch now has
     /// the most accumulated work. Connects any waiting orphans.
-    pub fn insert(&mut self, block: Block<T>) -> InsertOutcome {
+    ///
+    /// A [`SharedBlock`] is stored as it is, so every store offered the
+    /// same allocation holds that one allocation; a plain [`Block`] is
+    /// wrapped first, hashing its transactions.
+    pub fn insert(&mut self, block: impl Into<SharedBlock<T>>) -> InsertOutcome {
+        let block = block.into();
         let id = block.id();
         if self.blocks.contains_key(&id) || self.orphan_ids.contains(&id) {
             return InsertOutcome::Duplicate;
@@ -278,21 +270,19 @@ impl<T: LedgerTx> ChainStore<T> {
         if block.header.is_genesis() {
             return InsertOutcome::Rejected(BlockError::UnexpectedGenesis);
         }
-        let tx_ids = tx_ids_of(&block);
-        if merkle_root(&tx_ids) != block.header.merkle_root {
+        if !block.merkle_root_valid() {
             return InsertOutcome::Rejected(BlockError::BadMerkleRoot);
         }
         if self.validate_pow && !pow_valid(&block.header) {
             return InsertOutcome::Rejected(BlockError::BadPow);
         }
-        let offered = Offered { id, block, tx_ids };
-        if !self.blocks.contains_key(&offered.block.header.parent) {
-            self.pool_orphan(offered);
+        if !self.blocks.contains_key(&block.header.parent) {
+            self.pool_orphan(block);
             return InsertOutcome::AwaitingParent;
         }
 
         let old_tip = self.tip();
-        if let Err(err) = self.connect(offered) {
+        if let Err(err) = self.connect(block) {
             return InsertOutcome::Rejected(err);
         }
         // Connecting one block may unlock a cascade of orphans.
@@ -300,9 +290,9 @@ impl<T: LedgerTx> ChainStore<T> {
         self.outcome_since(old_tip)
     }
 
-    fn pool_orphan(&mut self, orphan: Offered<T>) {
-        let parent = orphan.block.header.parent;
-        self.orphan_ids.insert(orphan.id);
+    fn pool_orphan(&mut self, orphan: SharedBlock<T>) {
+        let parent = orphan.header.parent;
+        self.orphan_ids.insert(orphan.id());
         self.orphans.entry(parent).or_default().push(orphan);
         self.orphan_arrivals.push_back(parent);
         if self.orphan_arrivals.len() > MAX_ORPHANS {
@@ -312,7 +302,7 @@ impl<T: LedgerTx> ChainStore<T> {
             if let Some(list) = self.orphans.get_mut(&victim_parent) {
                 if !list.is_empty() {
                     let victim = list.remove(0);
-                    self.orphan_ids.remove(&victim.id);
+                    self.orphan_ids.remove(&victim.id());
                 }
                 if list.is_empty() {
                     self.orphans.remove(&victim_parent);
@@ -323,8 +313,8 @@ impl<T: LedgerTx> ChainStore<T> {
 
     /// Connects a block whose parent is present; updates indexes and
     /// possibly the active chain.
-    fn connect(&mut self, offered: Offered<T>) -> Result<(), BlockError> {
-        let Offered { id, block, tx_ids } = offered;
+    fn connect(&mut self, block: SharedBlock<T>) -> Result<(), BlockError> {
+        let id = block.id();
         let parent = &self.blocks[&block.header.parent];
         if block.header.height != parent.block.header.height + 1 {
             return Err(BlockError::BadHeight);
@@ -337,7 +327,6 @@ impl<T: LedgerTx> ChainStore<T> {
             id,
             StoredBlock {
                 block,
-                tx_ids,
                 chainwork,
                 arrival,
             },
@@ -361,7 +350,7 @@ impl<T: LedgerTx> ChainStore<T> {
             };
             self.orphan_arrivals.retain(|p| *p != parent);
             for orphan in waiting {
-                let id = orphan.id;
+                let id = orphan.id();
                 self.orphan_ids.remove(&id);
                 if self.connect(orphan).is_ok() {
                     ready.push(id);
@@ -391,15 +380,20 @@ impl<T: LedgerTx> ChainStore<T> {
         path.reverse();
         let fork_height = self.blocks[&path[0]].block.header.height as usize;
         for (height, id) in self.active.iter().enumerate().skip(fork_height) {
-            for tx in &self.blocks[id].tx_ids {
+            for tx in self.blocks[id].block.tx_ids() {
                 self.tx_index.remove(&(*tx, height as u64));
             }
         }
         self.active.truncate(fork_height);
         for (height, id) in path.iter().enumerate() {
             let height = (fork_height + height) as u64;
-            self.tx_index
-                .extend(self.blocks[id].tx_ids.iter().map(|tx| (*tx, height)));
+            self.tx_index.extend(
+                self.blocks[id]
+                    .block
+                    .tx_ids()
+                    .iter()
+                    .map(|tx| (*tx, height)),
+            );
         }
         self.active.extend(path);
     }
@@ -481,8 +475,13 @@ impl<T: LedgerTx> ChainStore<T> {
         self.active = path;
         self.tx_index.clear();
         for (height, id) in self.active.iter().enumerate() {
-            self.tx_index
-                .extend(self.blocks[id].tx_ids.iter().map(|tx| (*tx, height as u64)));
+            self.tx_index.extend(
+                self.blocks[id]
+                    .block
+                    .tx_ids()
+                    .iter()
+                    .map(|tx| (*tx, height as u64)),
+            );
         }
         removed
     }
@@ -510,7 +509,7 @@ impl<T: LedgerTx> ChainStore<T> {
 
     /// Iterates the active chain's blocks, genesis first.
     pub fn iter_active(&self) -> impl Iterator<Item = &Block<T>> {
-        self.active.iter().map(|id| &self.blocks[id].block)
+        self.active.iter().map(|id| &*self.blocks[id].block)
     }
 
     /// Total encoded bytes of all stored blocks (ledger size, §V).
@@ -767,6 +766,25 @@ mod tests {
             s.insert(b),
             InsertOutcome::Rejected(BlockError::BadMerkleRoot)
         );
+    }
+
+    #[test]
+    fn block_with_txs_edited_after_assembly_is_rejected() {
+        let (mut s, gid) = store();
+        let mut b = child(&s, gid, 1);
+        b.txs.push(TestTx::new(2));
+        assert_eq!(
+            s.insert(b),
+            InsertOutcome::Rejected(BlockError::BadMerkleRoot)
+        );
+        let mut b = child(&s, gid, 3);
+        b.txs[0].fee += 1;
+        b.txs[0].tag = 4;
+        assert_eq!(
+            s.insert(b),
+            InsertOutcome::Rejected(BlockError::BadMerkleRoot)
+        );
+        assert_eq!(s.block_count(), 1);
     }
 
     #[test]

@@ -25,7 +25,7 @@ use dlt_crypto::keys::Address;
 use dlt_crypto::Digest;
 
 use crate::account::{receipts_root, AccountError, AccountTx, Receipt, StateDb};
-use crate::block::{Block, BlockHeader, LedgerTx};
+use crate::block::{Block, BlockHeader, LedgerTx, SharedBlock};
 use crate::chain::{ChainStore, InsertOutcome};
 use crate::mempool::Mempool;
 
@@ -178,7 +178,7 @@ impl EthereumChain {
 
     /// Offers a transaction to the mempool.
     pub fn submit_tx(&mut self, tx: AccountTx) -> bool {
-        self.mempool.insert(tx)
+        self.mempool.insert(tx.id(), tx)
     }
 
     /// The gas limit a child of `parent` must use: move toward the
@@ -199,7 +199,13 @@ impl EthereumChain {
     }
 
     /// Assembles, executes and stores a block on the current tip.
-    pub fn produce_block(&mut self, producer: Address, timestamp_micros: u64) -> Block<AccountTx> {
+    /// Returns the block: the allocation the store holds, its
+    /// transactions hashed once.
+    pub fn produce_block(
+        &mut self,
+        producer: Address,
+        timestamp_micros: u64,
+    ) -> SharedBlock<AccountTx> {
         let parent_id = self.chain.tip();
         let parent = self.chain.header(&parent_id).expect("tip exists").clone();
         let height = parent.height + 1;
@@ -284,7 +290,7 @@ impl EthereumChain {
             gas_limit,
             proposer: producer,
         };
-        let block = Block::new(header, included);
+        let block = SharedBlock::build(header, included);
         self.receive_block(block.clone())
             .expect("locally assembled blocks validate");
         block
@@ -301,7 +307,7 @@ impl EthereumChain {
     /// chain restored.
     pub fn receive_block(
         &mut self,
-        block: Block<AccountTx>,
+        block: impl Into<SharedBlock<AccountTx>>,
     ) -> Result<InsertOutcome, EthereumError> {
         let outcome = self.chain.insert(block);
         match &outcome {
@@ -350,16 +356,15 @@ impl EthereumChain {
             }
         }
         // Mempool bookkeeping.
-        let mut reinstated = Vec::new();
         for id in reverted {
-            if let Some(block) = self.chain.block(id) {
-                reinstated.extend(block.txs.iter().cloned());
+            if let Some(block) = self.chain.shared_block(id) {
+                self.mempool.reinstate(block);
             }
         }
-        self.mempool.reinstate(reinstated);
         for id in &applied {
-            if let Some(ids) = self.chain.tx_ids(id) {
-                self.mempool.remove_confirmed(ids.iter().copied());
+            if let Some(block) = self.chain.shared_block(id) {
+                self.mempool
+                    .remove_confirmed(block.tx_ids().iter().copied());
             }
         }
         Ok(())

@@ -23,7 +23,8 @@
 //!
 //! Chain maintenance:
 //!
-//! * [`block`] — headers, blocks, identifiers;
+//! * [`block`] — headers, blocks, identifiers, and the shared block
+//!   that gossip and every store hold as one allocation;
 //! * [`chain`] — the block store: fork tracking, most-work tip
 //!   selection, reorg computation, orphan pool (paper §IV-A, Fig. 4);
 //! * [`mempool`] — pending transactions ordered by fee rate;

@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 
 use dlt_crypto::Digest;
 
-use crate::block::LedgerTx;
+use crate::block::{LedgerTx, SharedBlock};
 
 /// A fee-rate-prioritised set of pending transactions.
 #[derive(Debug, Clone)]
@@ -60,14 +60,14 @@ impl<T: LedgerTx> Mempool<T> {
         tx.fee() as f64 / tx.weight().max(1) as f64
     }
 
-    /// Offers a transaction to the pool.
+    /// Offers a transaction to the pool under its id `id`, which the
+    /// caller already holds (`tx.id()`), so pooling hashes nothing.
     ///
     /// Returns `true` if it was admitted. Duplicates are ignored; when
     /// the pool is full the lowest-fee-rate resident is evicted if the
     /// newcomer pays a strictly higher rate, otherwise the newcomer is
     /// refused (real mempool behaviour under backlog).
-    pub fn insert(&mut self, tx: T) -> bool {
-        let id = tx.id();
+    pub fn insert(&mut self, id: Digest, tx: T) -> bool {
         if self.txs.contains_key(&id) {
             return false;
         }
@@ -96,11 +96,15 @@ impl<T: LedgerTx> Mempool<T> {
         }
     }
 
-    /// Puts transactions from reverted (orphaned) blocks back into the
-    /// pool so a later block can re-include them.
-    pub fn reinstate(&mut self, txs: impl IntoIterator<Item = T>) {
-        for tx in txs {
-            self.insert(tx);
+    /// Puts the transactions of a reverted (orphaned) block back into
+    /// the pool so a later block can re-include them, under the ids the
+    /// block holds. Its coinbase pays a block that is no longer active:
+    /// it is dropped.
+    pub fn reinstate(&mut self, block: &SharedBlock<T>) {
+        for (id, tx) in block.tx_ids().iter().zip(&block.txs) {
+            if !tx.is_coinbase() {
+                self.insert(*id, tx.clone());
+            }
         }
     }
 
@@ -134,17 +138,22 @@ impl<T: LedgerTx> Mempool<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::testutil::TestTx;
+    use crate::block::testutil::{self, header, TestTx};
 
     fn tx(tag: u64, fee: u64, weight: u64) -> TestTx {
         TestTx { tag, fee, weight }
+    }
+
+    /// Offers `tx` under its own id.
+    fn offer(pool: &mut Mempool<TestTx>, tx: TestTx) -> bool {
+        pool.insert(tx.id(), tx)
     }
 
     #[test]
     fn insert_and_contains() {
         let mut pool = Mempool::new(10);
         let t = tx(1, 5, 100);
-        assert!(pool.insert(t.clone()));
+        assert!(offer(&mut pool, t.clone()));
         assert!(pool.contains(&t.id()));
         assert_eq!(pool.len(), 1);
         assert_eq!(pool.total_weight(), 100);
@@ -154,16 +163,16 @@ mod tests {
     fn duplicate_refused() {
         let mut pool = Mempool::new(10);
         let t = tx(1, 5, 100);
-        assert!(pool.insert(t.clone()));
-        assert!(!pool.insert(t));
+        assert!(offer(&mut pool, t.clone()));
+        assert!(!offer(&mut pool, t));
         assert_eq!(pool.len(), 1);
     }
 
     #[test]
     fn selection_prefers_fee_rate_not_absolute_fee() {
         let mut pool = Mempool::new(10);
-        pool.insert(tx(1, 10, 1000)); // rate 0.01
-        pool.insert(tx(2, 5, 100)); // rate 0.05
+        offer(&mut pool, tx(1, 10, 1000)); // rate 0.01
+        offer(&mut pool, tx(2, 5, 100)); // rate 0.05
         let selected = pool.select_for_block(100);
         assert_eq!(selected.len(), 1);
         assert_eq!(selected[0].tag, 2);
@@ -173,7 +182,7 @@ mod tests {
     fn selection_respects_capacity() {
         let mut pool = Mempool::new(10);
         for i in 0..5 {
-            pool.insert(tx(i, 10, 100));
+            offer(&mut pool, tx(i, 10, 100));
         }
         let selected = pool.select_for_block(250);
         assert_eq!(selected.len(), 2);
@@ -184,9 +193,9 @@ mod tests {
     #[test]
     fn selection_skips_large_and_takes_smaller() {
         let mut pool = Mempool::new(10);
-        pool.insert(tx(1, 100, 300)); // best rate but too big after first
-        pool.insert(tx(2, 50, 300));
-        pool.insert(tx(3, 1, 50)); // low rate but fits in the gap
+        offer(&mut pool, tx(1, 100, 300)); // best rate but too big after first
+        offer(&mut pool, tx(2, 50, 300));
+        offer(&mut pool, tx(3, 1, 50)); // low rate but fits in the gap
         let selected = pool.select_for_block(350);
         let tags: Vec<u64> = selected.iter().map(|t| t.tag).collect();
         assert_eq!(tags, vec![1, 3]);
@@ -195,14 +204,14 @@ mod tests {
     #[test]
     fn eviction_keeps_higher_fee_rates() {
         let mut pool = Mempool::new(2);
-        pool.insert(tx(1, 1, 100)); // rate 0.01
-        pool.insert(tx(2, 2, 100)); // rate 0.02
-                                    // Better than tx 1 -> evicts it.
-        assert!(pool.insert(tx(3, 5, 100)));
+        offer(&mut pool, tx(1, 1, 100)); // rate 0.01
+        offer(&mut pool, tx(2, 2, 100)); // rate 0.02
+                                         // Better than tx 1 -> evicts it.
+        assert!(offer(&mut pool, tx(3, 5, 100)));
         assert_eq!(pool.len(), 2);
         assert!(!pool.contains(&tx(1, 1, 100).id()));
         // Worse than everything -> refused.
-        assert!(!pool.insert(tx(4, 1, 1000)));
+        assert!(!offer(&mut pool, tx(4, 1, 1000)));
         assert_eq!(pool.len(), 2);
     }
 
@@ -211,8 +220,8 @@ mod tests {
         let mut pool = Mempool::new(10);
         let a = tx(1, 1, 10);
         let b = tx(2, 1, 10);
-        pool.insert(a.clone());
-        pool.insert(b.clone());
+        offer(&mut pool, a.clone());
+        offer(&mut pool, b.clone());
         pool.remove_confirmed(vec![a.id()]);
         assert!(!pool.contains(&a.id()));
         assert!(pool.contains(&b.id()));
@@ -222,7 +231,10 @@ mod tests {
     fn reinstate_after_reorg() {
         let mut pool = Mempool::new(10);
         let orphaned = vec![tx(1, 1, 10), tx(2, 1, 10)];
-        pool.reinstate(orphaned.clone());
+        let block = SharedBlock::build(header(Digest::ZERO, 1), orphaned.clone());
+        let before = testutil::id_calls();
+        pool.reinstate(&block);
+        assert_eq!(testutil::id_calls(), before, "the block's ids are reused");
         assert_eq!(pool.len(), 2);
         assert!(pool.contains(&orphaned[0].id()));
     }
@@ -231,7 +243,7 @@ mod tests {
     fn equal_rates_come_out_in_ascending_id_order() {
         let mut pool = Mempool::new(10);
         for i in 0..8 {
-            pool.insert(tx(i, 10, 100));
+            offer(&mut pool, tx(i, 10, 100));
         }
         let ids: Vec<Digest> = pool.select_for_block(800).iter().map(TestTx::id).collect();
         let mut sorted = ids.clone();
@@ -244,7 +256,7 @@ mod tests {
     fn deterministic_tie_break() {
         let mut pool = Mempool::new(10);
         for i in 0..5 {
-            pool.insert(tx(i, 10, 100)); // identical rates
+            offer(&mut pool, tx(i, 10, 100)); // identical rates
         }
         let first = pool.select_for_block(500);
         let second = pool.select_for_block(500);

@@ -6,7 +6,9 @@
 //! exponential in `difficulty / hashrate`; restarting the search on a
 //! new tip is statistically free because the exponential is
 //! memoryless), floods blocks and transactions to its peers, and
-//! switches branches by most-work fork choice.
+//! switches branches by most-work fork choice. The stores share block
+//! bodies: a block travels as one [`SharedBlock`] and every node stores
+//! that allocation. A block its store rejects is not relayed.
 //!
 //! Soft forks emerge exactly as the paper describes: "two different
 //! blocks are created at roughly the same time … some nodes will
@@ -22,7 +24,7 @@ use dlt_sim::engine::{Context, ObjectId, Payload, SimNode};
 use dlt_sim::metrics::{CounterId, Metrics, SeriesId};
 use dlt_sim::network::NodeId;
 
-use crate::block::{Block, BlockHeader, LedgerTx};
+use crate::block::{Block, BlockHeader, LedgerTx, SharedBlock};
 use crate::chain::{ChainStore, InsertOutcome};
 use crate::difficulty::{retarget, RetargetParams};
 use crate::mempool::Mempool;
@@ -30,10 +32,10 @@ use crate::pow::sample_mining_time;
 
 /// The gossip message alphabet of the blockchain network.
 #[derive(Debug, Clone)]
-#[allow(clippy::large_enum_variant)] // blocks dominate gossip traffic by design
 pub enum NetMsg<T> {
-    /// A full block announcement.
-    Block(Block<T>),
+    /// A full block announcement: the one shared allocation that every
+    /// receiving node stores.
+    Block(SharedBlock<T>),
     /// A loose transaction.
     Tx(T),
 }
@@ -44,14 +46,16 @@ impl<T: LedgerTx> NetMsg<T> {
         NetMsg::Tx(tx)
     }
 
-    /// A `Block` announcing `block`.
-    pub fn block(block: Block<T>) -> Self {
-        NetMsg::Block(block)
+    /// A `Block` announcing `block` (a plain [`Block`] is wrapped,
+    /// hashing its transactions once).
+    pub fn block(block: impl Into<SharedBlock<T>>) -> Self {
+        NetMsg::Block(block.into())
     }
 }
 
 impl<T: LedgerTx> ObjectId for NetMsg<T> {
-    /// The block's header hash or the transfer's id.
+    /// The block's header hash (held by the shared block) or the
+    /// transfer's id.
     fn object_id(&self) -> Option<Digest> {
         Some(match self {
             NetMsg::Block(block) => block.id(),
@@ -291,21 +295,25 @@ impl<T: LedgerTx> MinerNode<T> {
             gas_limit: 0,
             proposer: Address::ZERO,
         };
-        let block = Block::new(header, txs);
-        let id = block.id();
+        let block = SharedBlock::build(header, txs);
 
         let interval_secs = (ctx.now().as_micros() as f64 - parent.timestamp_micros as f64) / 1e6;
         let m = self.handles();
         ctx.metrics().inc(m.blocks_mined);
         ctx.metrics().record(m.block_interval_secs, interval_secs);
         ctx.trace_mark("miner.block_mined", height);
-        self.seen.insert(id);
+        self.seen.insert(block.id());
         self.accept_block(ctx, block.clone());
-        ctx.broadcast(NetMsg::block(block));
+        ctx.broadcast(NetMsg::Block(block));
     }
 
     /// Integrates a block into the local chain and updates the mempool.
-    fn accept_block(&mut self, ctx: &mut Context<'_, NetMsg<T>>, block: Block<T>)
+    /// Returns how the chain store took it.
+    fn accept_block(
+        &mut self,
+        ctx: &mut Context<'_, NetMsg<T>>,
+        block: SharedBlock<T>,
+    ) -> InsertOutcome
     where
         T: Clone,
     {
@@ -328,13 +336,11 @@ impl<T: LedgerTx> MinerNode<T> {
                 // Orphaned transactions go back to the pool first, then
                 // the new branch claims its own. A reverted coinbase
                 // pays a block that is no longer active: it is dropped.
-                let mut reinstate = Vec::new();
                 for id in reverted {
-                    if let Some(block) = self.chain.block(id) {
-                        reinstate.extend(block.txs.iter().filter(|t| !t.is_coinbase()).cloned());
+                    if let Some(block) = self.chain.shared_block(id) {
+                        self.mempool.reinstate(block);
                     }
                 }
-                self.mempool.reinstate(reinstate);
                 for id in applied {
                     self.confirm_txs(id);
                 }
@@ -347,11 +353,13 @@ impl<T: LedgerTx> MinerNode<T> {
             }
             InsertOutcome::Duplicate | InsertOutcome::Rejected(_) => {}
         }
+        outcome
     }
 
     fn confirm_txs(&mut self, block_id: &Digest) {
-        if let Some(ids) = self.chain.tx_ids(block_id) {
-            self.mempool.remove_confirmed(ids.iter().copied());
+        if let Some(block) = self.chain.shared_block(block_id) {
+            self.mempool
+                .remove_confirmed(block.tx_ids().iter().copied());
         }
     }
 }
@@ -373,17 +381,22 @@ impl<T: LedgerTx> SimNode<NetMsg<T>> for MinerNode<T> {
         let Some(id) = ctx.object_id(&msg) else {
             return;
         };
-        if !self.seen.insert(id) {
+        if self.seen.contains(&id) {
             return;
         }
         match &*msg {
             NetMsg::Block(block) => {
                 let old_tip = self.chain.tip();
-                let block = block.clone();
-                self.accept_block(ctx, block);
-                // Flood-relay regardless of whether it won fork choice;
-                // peers decide for themselves. Relaying the shared
-                // payload re-uses the original allocation.
+                // A block the store rejects is neither remembered nor
+                // relayed: a tampered copy under a genuine header id
+                // must not shadow the genuine block arriving later.
+                if let InsertOutcome::Rejected(_) = self.accept_block(ctx, block.clone()) {
+                    return;
+                }
+                self.seen.insert(id);
+                // Flood-relay whether or not it won fork choice; peers
+                // decide for themselves. Relaying the shared payload
+                // re-uses the original allocation.
                 ctx.broadcast(Payload::clone(&msg));
                 if self.chain.tip() != old_tip {
                     // Tip moved: abandon the current attempt and mine on
@@ -392,10 +405,12 @@ impl<T: LedgerTx> SimNode<NetMsg<T>> for MinerNode<T> {
                 }
             }
             NetMsg::Tx(tx) => {
+                self.seen.insert(id);
                 // A transfer the active chain already holds is relayed
                 // but not pooled, so it cannot be mined a second time.
                 // One a reorg reverts comes back through `reinstate`.
-                if self.chain.tx_confirmations(&id).is_none() && self.mempool.insert(tx.clone()) {
+                if self.chain.tx_confirmations(&id).is_none() && self.mempool.insert(id, tx.clone())
+                {
                     let m = self.handles();
                     ctx.metrics().inc(m.txs_accepted);
                 }
@@ -603,6 +618,105 @@ mod tests {
         inject(&mut sim, 4_000, 43);
         assert_eq!(sim.metrics().count("net.messages"), 6 + 12);
         assert_eq!(sim.metrics().count("node.txs_accepted"), 6);
+    }
+
+    fn relay_network(seed: u64, nodes: usize) -> Net {
+        let mut sim: Net = Simulation::new(seed, LatencyModel::Fixed(SimTime::from_millis(10)));
+        for _ in 0..nodes {
+            sim.add_node(MinerNode::new(genesis(), MinerConfig::relay()));
+        }
+        sim
+    }
+
+    #[test]
+    fn a_flooded_block_is_hashed_once_and_stored_as_one_allocation() {
+        const N: usize = 5;
+        let mut sim = relay_network(11, N);
+        let before = crate::block::testutil::id_calls();
+        let txs: Vec<TestTx> = (0..4).map(TestTx::new).collect();
+        let block = SharedBlock::build(header(genesis().id(), 1), txs);
+        let id = block.id();
+        sim.deliver_at(
+            SimTime::from_millis(1),
+            NodeId(0),
+            NodeId(0),
+            NetMsg::Block(block),
+        );
+        sim.run_until(SimTime::from_secs(1));
+        // Once per transfer in the whole simulation; a node that hashed
+        // the transfers for its own Merkle check would add N per transfer.
+        assert_eq!(crate::block::testutil::id_calls() - before, 4);
+        let stored = sim.node(NodeId(0)).chain().block(&id).expect("stored");
+        for i in 0..N {
+            let chain = sim.node(NodeId(i)).chain();
+            assert_eq!(chain.tip(), id);
+            assert!(
+                std::ptr::eq(chain.block(&id).unwrap(), stored),
+                "node {i} copied the block"
+            );
+        }
+    }
+
+    #[test]
+    fn a_flooded_transfer_is_hashed_once_in_total() {
+        const N: usize = 5;
+        let mut sim = relay_network(12, N);
+        let before = crate::block::testutil::id_calls();
+        let tx = TestTx::new(7);
+        sim.deliver_at(
+            SimTime::from_millis(1),
+            NodeId(0),
+            NodeId(0),
+            NetMsg::tx(tx.clone()),
+        );
+        sim.run_until(SimTime::from_secs(1));
+        // The engine's id for the payload; pooling adds no hash.
+        assert_eq!(crate::block::testutil::id_calls() - before, 1);
+        for i in 0..N {
+            assert!(sim.node(NodeId(i)).mempool().contains(&tx.id()));
+        }
+        assert_eq!(sim.metrics().count("node.txs_accepted"), N as u64);
+    }
+
+    #[test]
+    fn a_rejected_block_is_neither_relayed_nor_remembered() {
+        let mut sim = relay_network(13, 2);
+        let genuine = Block::new(
+            header(genesis().id(), 1),
+            vec![TestTx::new(1), TestTx::new(2)],
+        );
+        let mut tampered = genuine.clone();
+        tampered.txs[1].tag = 99;
+        assert_eq!(tampered.id(), genuine.id(), "same header, same id");
+        let at = SimTime::from_millis(1);
+        for node in [NodeId(0), NodeId(1)] {
+            sim.deliver_at(at, node, node, NetMsg::block(tampered.clone()));
+        }
+        sim.run_until(SimTime::from_millis(500));
+        assert_eq!(
+            sim.metrics().count("net.messages"),
+            0,
+            "tampered copy relayed"
+        );
+        for node in [NodeId(0), NodeId(1)] {
+            assert_eq!(sim.node(node).chain().block_count(), 1);
+        }
+
+        sim.deliver_at(
+            SimTime::from_secs(1),
+            NodeId(0),
+            NodeId(0),
+            NetMsg::block(genuine.clone()),
+        );
+        sim.run_until(SimTime::from_secs(2));
+        for node in [NodeId(0), NodeId(1)] {
+            assert_eq!(
+                sim.node(node).chain().tip(),
+                genuine.id(),
+                "{node:?} dropped the genuine block as a duplicate"
+            );
+        }
+        assert_eq!(sim.metrics().count("net.messages"), 2, "one relay per node");
     }
 
     #[test]

@@ -11,7 +11,7 @@ use dlt_crypto::keys::Address;
 use dlt_crypto::Digest;
 
 use crate::account::AccountTx;
-use crate::block::Block;
+use crate::block::SharedBlock;
 use crate::chain::InsertOutcome;
 use crate::ethereum::{EthereumChain, EthereumError, EthereumParams};
 use crate::pos::{
@@ -144,7 +144,7 @@ impl PosChain {
     /// # Errors
     ///
     /// [`PosChainError::NoValidators`] when no stake is deposited.
-    pub fn advance_slot(&mut self, slot: u64) -> Result<Block<AccountTx>, PosChainError> {
+    pub fn advance_slot(&mut self, slot: u64) -> Result<SharedBlock<AccountTx>, PosChainError> {
         let proposer = self
             .slot_proposer(slot)
             .ok_or(PosChainError::NoValidators)?;
@@ -215,9 +215,10 @@ impl PosChain {
     /// matter how long it is.
     pub fn receive_block(
         &mut self,
-        block: Block<AccountTx>,
+        block: impl Into<SharedBlock<AccountTx>>,
         slot: u64,
     ) -> Result<InsertOutcome, PosChainError> {
+        let block = block.into();
         let expected = self
             .slot_proposer_on(&block.header.parent, slot)
             .ok_or(PosChainError::NoValidators)?;
@@ -304,6 +305,7 @@ impl PosChain {
 mod tests {
     use super::*;
     use crate::account::AccountHolder;
+    use crate::block::Block;
 
     fn setup(epoch_length: u64) -> (PosChain, AccountHolder) {
         setup_with_validators(epoch_length, 4)

@@ -40,6 +40,9 @@ impl Encode for OutPoint {
         self.txid.encode(out);
         self.index.encode(out);
     }
+    fn encoded_len(&self) -> usize {
+        self.txid.encoded_len() + self.index.encoded_len()
+    }
 }
 
 /// A spendable output: an amount locked to an address.
@@ -55,6 +58,9 @@ impl Encode for TxOutput {
     fn encode(&self, out: &mut Vec<u8>) {
         self.amount.encode(out);
         self.recipient.encode(out);
+    }
+    fn encoded_len(&self) -> usize {
+        self.amount.encoded_len() + self.recipient.encoded_len()
     }
 }
 
@@ -74,6 +80,9 @@ impl Encode for TxInput {
         self.outpoint.encode(out);
         self.pubkey.encode(out);
         self.signature.encode(out);
+    }
+    fn encoded_len(&self) -> usize {
+        self.outpoint.encoded_len() + self.pubkey.encoded_len() + self.signature.encoded_len()
     }
 }
 
@@ -152,6 +161,14 @@ impl Encode for UtxoTx {
         self.outputs.encode(out);
         self.declared_fee.encode(out);
         self.coinbase_height.encode(out);
+    }
+    /// Summed field by field, so [`LedgerTx::weight`] (called on every
+    /// comparison of a mempool sort) encodes nothing.
+    fn encoded_len(&self) -> usize {
+        self.inputs.encoded_len()
+            + self.outputs.encoded_len()
+            + self.declared_fee.encoded_len()
+            + self.coinbase_height.encoded_len()
     }
 }
 
@@ -838,6 +855,65 @@ mod tests {
             .unwrap();
         assert_eq!(tx.encoded_size(), tx.encode_to_vec().len());
         assert_eq!(tx.weight(), tx.encoded_size() as u64);
+
+        // Every overridden `encoded_len` equals the encoding's length,
+        // for both signature schemes, a coinbase and a multi-input
+        // transfer with multi-byte varints.
+        fn len_matches<E: Encode>(value: &E) {
+            assert_eq!(value.encoded_len(), value.encode_to_vec().len());
+        }
+        let wots = Keypair::wots_from_seed([1u8; 32])
+            .sign(&Digest::ZERO)
+            .unwrap();
+        let mss = Keypair::mss_from_seed([2u8; 32], 2)
+            .sign(&Digest::ZERO)
+            .unwrap();
+        let (Signature::Wots(wots_sig), Signature::Mss(mss_sig)) = (&wots, &mss) else {
+            panic!("keypairs sign with their own scheme");
+        };
+        len_matches(wots_sig);
+        len_matches(mss_sig);
+        len_matches(&mss_sig.auth_path);
+        let input = |signature: Signature, index: u32| TxInput {
+            outpoint: OutPoint {
+                txid: tx.id(),
+                index,
+            },
+            pubkey: PublicKey(Digest::ZERO),
+            signature,
+        };
+        let multi = UtxoTx {
+            inputs: vec![
+                input(wots, 0),
+                input(mss, 300),
+                input(tx.inputs[0].signature.clone(), 1 << 20),
+            ],
+            outputs: vec![
+                TxOutput {
+                    amount: 1 << 40,
+                    recipient: Address::from_label("a"),
+                },
+                TxOutput {
+                    amount: 5,
+                    recipient: Address::from_label("b"),
+                },
+            ],
+            declared_fee: 200,
+            coinbase_height: 0,
+        };
+        let coinbase = UtxoTx::coinbase(1_000, 50, Address::from_label("m"));
+        for t in [&tx, &multi, &coinbase] {
+            len_matches(t);
+            assert_eq!(t.weight(), t.encode_to_vec().len() as u64);
+            for i in &t.inputs {
+                len_matches(i);
+                len_matches(&i.outpoint);
+                len_matches(&i.signature);
+            }
+            for o in &t.outputs {
+                len_matches(o);
+            }
+        }
     }
 
     #[test]

@@ -127,6 +127,12 @@ impl Encode for Signature {
             }
         }
     }
+    fn encoded_len(&self) -> usize {
+        1 + match self {
+            Signature::Wots(sig) => sig.encoded_len(),
+            Signature::Mss(sig) => sig.encoded_len(),
+        }
+    }
 }
 
 impl Decode for Signature {

@@ -170,6 +170,9 @@ impl Encode for MerkleProof {
         self.index.encode(out);
         self.path.encode(out);
     }
+    fn encoded_len(&self) -> usize {
+        self.index.encoded_len() + self.path.encoded_len()
+    }
 }
 
 impl Decode for MerkleProof {

@@ -177,6 +177,9 @@ impl Encode for MssSignature {
         self.wots_sig.encode(out);
         self.auth_path.encode(out);
     }
+    fn encoded_len(&self) -> usize {
+        self.leaf_index.encoded_len() + self.wots_sig.encoded_len() + self.auth_path.encoded_len()
+    }
 }
 
 impl Decode for MssSignature {

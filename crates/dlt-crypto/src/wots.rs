@@ -344,6 +344,9 @@ impl Encode for WotsSignature {
             part.encode(out);
         }
     }
+    fn encoded_len(&self) -> usize {
+        LEN.encoded_len() + LEN * 32
+    }
 }
 
 impl Decode for WotsSignature {

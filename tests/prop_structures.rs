@@ -141,7 +141,8 @@ prop! {
         let capacity = g.u64_in(100, 5_000);
         let mut pool = Mempool::new(1_000);
         for (i, (fee, weight)) in txs.iter().enumerate() {
-            pool.insert(test_tx(i as u64, *fee, *weight));
+            let tx = test_tx(i as u64, *fee, *weight);
+            pool.insert(tx.id(), tx);
         }
         let selected = pool.select_for_block(capacity);
         let total: u64 = selected.iter().map(|t| t.weight).sum();
