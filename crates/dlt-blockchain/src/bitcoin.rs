@@ -158,9 +158,12 @@ impl BitcoinChain {
         self.undo.get(id).map(BlockUndo::size_bytes)
     }
 
-    /// Offers a transaction to the mempool.
-    pub fn submit_tx(&mut self, tx: UtxoTx) -> bool {
-        self.mempool.insert(tx.id(), tx)
+    /// Offers a transaction to the mempool. Returns the id it was
+    /// pooled under (hashed here, once), or `None` if the pool refused
+    /// it.
+    pub fn submit_tx(&mut self, tx: UtxoTx) -> Option<Digest> {
+        let id = tx.id();
+        self.mempool.insert(id, tx).then_some(id)
     }
 
     /// Assembles, applies and stores a block on the current tip,
@@ -380,7 +383,8 @@ mod tests {
             .build_transfer(chain.ledger(), to, 100, 5)
             .expect("funded");
         let tx_id = tx.id();
-        assert!(chain.submit_tx(tx));
+        assert_eq!(chain.submit_tx(tx.clone()), Some(tx_id));
+        assert_eq!(chain.submit_tx(tx), None, "already pooled");
         assert_eq!(chain.mempool().len(), 1);
 
         let miner = Address::from_label("miner");
@@ -554,7 +558,7 @@ mod tests {
             .unwrap();
         assert_eq!(child.inputs[0].outpoint.txid, pay.id());
         for tx in [&pay, &double_spend, &bad_signature, &child] {
-            assert!(chain.submit_tx(tx.clone()));
+            assert_eq!(chain.submit_tx(tx.clone()), Some(tx.id()));
         }
 
         let miner = Address::from_label("miner");

@@ -176,9 +176,12 @@ impl EthereumChain {
         self.receipts.get(block).map(Vec::as_slice)
     }
 
-    /// Offers a transaction to the mempool.
-    pub fn submit_tx(&mut self, tx: AccountTx) -> bool {
-        self.mempool.insert(tx.id(), tx)
+    /// Offers a transaction to the mempool. Returns the id it was
+    /// pooled under (hashed here, once), or `None` if the pool refused
+    /// it.
+    pub fn submit_tx(&mut self, tx: AccountTx) -> Option<Digest> {
+        let id = tx.id();
+        self.mempool.insert(id, tx).then_some(id)
     }
 
     /// The gas limit a child of `parent` must use: move toward the
@@ -496,7 +499,9 @@ mod tests {
     fn produced_block_executes_transactions() {
         let (mut chain, mut alice) = setup(100_000_000);
         let bob = Address::from_label("bob");
-        chain.submit_tx(alice.transfer(bob, 1_000, 1));
+        let first = alice.transfer(bob, 1_000, 1);
+        assert_eq!(chain.submit_tx(first.clone()), Some(first.id()));
+        assert_eq!(chain.submit_tx(first), None, "already pooled");
         chain.submit_tx(alice.transfer(bob, 2_000, 1));
         let producer = Address::from_label("validator");
         let block = chain.produce_block(producer, 15_000_000);

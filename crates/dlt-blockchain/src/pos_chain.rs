@@ -130,8 +130,9 @@ impl PosChain {
         self.slot_proposer_on(&self.chain.chain().tip(), slot)
     }
 
-    /// Submits a transaction to the mempool.
-    pub fn submit_tx(&mut self, tx: AccountTx) -> bool {
+    /// Submits a transaction to the mempool. Returns the id it was
+    /// pooled under, or `None` if the pool refused it.
+    pub fn submit_tx(&mut self, tx: AccountTx) -> Option<Digest> {
         self.chain.submit_tx(tx)
     }
 

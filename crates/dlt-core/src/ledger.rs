@@ -207,14 +207,10 @@ impl DistributedLedger for BitcoinAdapter {
         let recipient = self.wallets[to].new_address();
         self.actor_addresses[to].push(recipient);
         let tx = self.wallets[from].build_transfer(self.chain.ledger(), recipient, amount, 1)?;
-        let id = tx.id();
-        if self.chain.submit_tx(tx) {
-            self.submitted += 1;
-            self.tickets.push(id);
-            Some(id)
-        } else {
-            None
-        }
+        let id = self.chain.submit_tx(tx)?;
+        self.submitted += 1;
+        self.tickets.push(id);
+        Some(id)
     }
 
     fn advance(&mut self, dt: SimTime) {
@@ -320,14 +316,10 @@ impl DistributedLedger for EthereumAdapter {
         }
         let to_address = self.holders[to].address();
         let tx = self.holders[from].transfer(to_address, amount, 1);
-        let id = tx.id();
-        if self.chain.submit_tx(tx) {
-            self.submitted += 1;
-            self.tickets.push(id);
-            Some(id)
-        } else {
-            None
-        }
+        let id = self.chain.submit_tx(tx)?;
+        self.submitted += 1;
+        self.tickets.push(id);
+        Some(id)
     }
 
     fn advance(&mut self, dt: SimTime) {

@@ -249,23 +249,26 @@ pub(crate) fn sign_from_seed(seed: &[u8; 32], msg: &Digest) -> WotsSignature {
     let parts = run_chains(std::array::from_fn(|i| {
         (starts[i], 0, u32::from(digits[i]))
     }));
-    WotsSignature::new(Box::new(parts))
+    WotsSignature::new(Arc::new(parts))
 }
 
 /// A WOTS signature: one intermediate chain value per digit (~2.1 KiB).
 ///
-/// Its [`LEN`] parts sit behind one pointer and never change after
-/// construction, so a signature keeps the result of its first
+/// Its [`LEN`] parts sit behind one shared pointer and never change
+/// after construction: a clone shares the parts allocation with its
+/// original, so every holder of a copy (each node's ledger, a mempool,
+/// a block) keeps one pointer, not ~2.1 KiB. A signature keeps the
+/// result of its first
 /// [recovery](WotsSignature::recover_public): the message and the
 /// public-key commitment it gave. A later recovery under the same
 /// message returns that commitment instead of running the chains
 /// again, and clones share it, so every holder of a copy shares one
 /// check. A recovery under any other message runs in full.
 /// `==` and the codec look only at the parts, and a decoded signature
-/// starts with no memo.
+/// starts with fresh parts and no memo.
 #[derive(Clone)]
 pub struct WotsSignature {
-    parts: Box<[Digest; LEN]>,
+    parts: Arc<[Digest; LEN]>,
     /// `(message, recovered commitment)` of the first recovery, behind
     /// a pointer so that an unverified signature pays one word, and
     /// shared so that clones of a verified one allocate nothing.
@@ -273,7 +276,7 @@ pub struct WotsSignature {
 }
 
 impl WotsSignature {
-    fn new(parts: Box<[Digest; LEN]>) -> Self {
+    fn new(parts: Arc<[Digest; LEN]>) -> Self {
         WotsSignature {
             parts,
             recovered: OnceCell::new(),
@@ -351,11 +354,10 @@ impl Encode for WotsSignature {
 
 impl Decode for WotsSignature {
     fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        let parts = Vec::<Digest>::decode(input)?.into_boxed_slice();
-        let parts = parts
+        let parts: [Digest; LEN] = Vec::<Digest>::decode(input)?
             .try_into()
             .map_err(|_| DecodeError::Invalid("wots signature arity"))?;
-        Ok(WotsSignature::new(parts))
+        Ok(WotsSignature::new(Arc::new(parts)))
     }
 }
 
@@ -469,7 +471,7 @@ mod tests {
         let kp = WotsKeypair::from_seed([5u8; 32]);
         let msg = sha256(b"message");
         let mut sig = kp.sign(&msg);
-        sig.parts[30] = sha256(b"tamper");
+        Arc::make_mut(&mut sig.parts)[30] = sha256(b"tamper");
         assert!(!sig.verify(&msg, &kp.public_digest()));
     }
 
@@ -580,11 +582,29 @@ mod tests {
         assert_eq!(format!("{sig:?}"), format!("{unverified:?}"));
     }
 
-    /// A signature is two pointers: the parts and the memo.
+    #[test]
+    fn clones_share_the_parts_and_decoding_does_not() {
+        let kp = WotsKeypair::from_seed([15u8; 32]);
+        let msg = sha256(b"shared");
+        let sig = kp.sign(&msg);
+        let clone = sig.clone();
+        assert!(Arc::ptr_eq(&sig.parts, &clone.parts));
+        let decoded: WotsSignature = decode_exact(&sig.encode_to_vec()).unwrap();
+        assert!(!Arc::ptr_eq(&sig.parts, &decoded.parts));
+        assert_eq!(Arc::strong_count(&sig.parts), 2);
+        for copy in [&sig, &clone, &decoded] {
+            assert_eq!(*copy, sig);
+            assert!(copy.verify(&msg, &kp.public_digest()));
+        }
+    }
+
+    /// A signature is two pointers: the shared parts and the memo.
     /// `chain-gossip` holds ~10k signature copies that are never
-    /// verified: with the memo inline (64 bytes or more) its
-    /// `peak_rss_mb` rose 2.6%, against 0.35% for a memo behind a
-    /// pointer.
+    /// verified. They are clones that share their parts, so each costs
+    /// little more than this struct. With the memo inline (64 bytes or
+    /// more), its `peak_rss_mb` rose 2.6%, against 0.35% for a memo
+    /// behind a pointer (measured while each copy still owned its
+    /// parts).
     #[test]
     fn signature_is_two_pointers() {
         assert_eq!(

@@ -16,7 +16,7 @@
 //! cemented.
 
 use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use dlt_crypto::keys::Address;
 use dlt_crypto::Digest;
@@ -147,6 +147,13 @@ pub struct DagNode {
     /// Heard blocks whose `previous` or source is not in the lattice
     /// yet, keyed by that gap.
     gap_buffer: BTreeMap<Digest, Vec<Digest>>,
+    /// The roots this node has settled: the position of each block it
+    /// confirmed and has cemented. A vote for one is refused
+    /// ([`DagNode::admits`]). `cement_on_confirm` is fixed for the
+    /// node's life, so a block this node has confirmed is never
+    /// cemented later: a root is settled at its winner's confirmation
+    /// or not at all.
+    settled: BTreeSet<ElectionRoot>,
     /// Number of blocks confirmed locally.
     confirmations: usize,
     /// Metric handles, registered in `on_start`.
@@ -162,6 +169,7 @@ impl DagNode {
             config,
             blocks: BTreeMap::new(),
             gap_buffer: BTreeMap::new(),
+            settled: BTreeSet::new(),
             confirmations: 0,
             metrics: None,
         }
@@ -213,22 +221,17 @@ impl DagNode {
     }
 
     /// Whether `vote` can still count on this node. It cannot when its
-    /// representative has no weight in this node's lattice, or when
-    /// its root is settled here: the block occupying the root is one
-    /// this node confirmed and has cemented. A vote that cannot count
-    /// is neither heard, tallied nor relayed, and opens no election.
+    /// root is settled here (the block occupying the root is one this
+    /// node confirmed and has cemented, so the root is in `settled`),
+    /// or when its representative has no weight in this node's
+    /// lattice. A vote that cannot count is neither heard, tallied nor
+    /// relayed, and opens no election. Most votes a node refuses are
+    /// for settled roots, so that one lookup comes first.
     ///
     /// Cemented alone is not settled: cementing a block also cements
     /// its ancestors, whose own elections may still be open here.
     fn admits(&self, vote: &Vote) -> bool {
-        if self.lattice.weight(&vote.representative) == 0 {
-            return false;
-        }
-        let (account, previous) = vote.root;
-        !self
-            .lattice
-            .occupier(&account, &previous)
-            .is_some_and(|hash| self.is_confirmed(&hash) && self.lattice.is_cemented(&hash))
+        !self.settled.contains(&vote.root) && self.lattice.weight(&vote.representative) != 0
     }
 
     /// Casts this node's representative vote (if it is one, and the
@@ -412,8 +415,8 @@ impl DagNode {
 
     /// Adopts and cements a confirmed winner, rolling back a locally
     /// adopted losing branch if necessary. Once the winner is cemented
-    /// the root's election is dropped: later votes for the root are
-    /// refused ([`DagNode::admits`]).
+    /// the root's election is dropped, and the winner's position is
+    /// settled: later votes for it are refused ([`DagNode::admits`]).
     fn apply_confirmation(
         &mut self,
         ctx: &mut Context<'_, DagMsg>,
@@ -451,6 +454,15 @@ impl DagNode {
         }
         if self.config.cement_on_confirm && self.lattice.cement(&winner).is_ok() {
             self.elections.forget(&root);
+        }
+        // The winner is cemented now, or was before it was confirmed
+        // (as an ancestor of a confirmed block, or the genesis block).
+        // The key is its own position, which the root of the votes
+        // that confirmed it need not name.
+        if self.lattice.is_cemented(&winner) {
+            if let Some(block) = self.lattice.block(&winner) {
+                self.settled.insert(Self::election_root(block));
+            }
         }
     }
 }
@@ -498,6 +510,7 @@ mod tests {
     use crate::account::NanoAccount;
     use crate::block::with_forged_signature;
     use dlt_sim::engine::Simulation;
+    use dlt_sim::fault::FaultInterceptor;
     use dlt_sim::latency::LatencyModel;
     use dlt_sim::time::SimTime;
     use dlt_testkit::prop;
@@ -528,6 +541,22 @@ mod tests {
     /// delegated to itself, funded from genesis before the network
     /// starts (the funding blocks are injected to every node directly).
     fn fixture(seed: u64, n: usize, latency_ms: u64) -> Fixture {
+        let (genesis, rep_accounts, nodes) = bootstrapped(n);
+        let mut sim: Net =
+            Simulation::new(seed, LatencyModel::Fixed(SimTime::from_millis(latency_ms)));
+        for node in nodes {
+            sim.add_node(node);
+        }
+        Fixture {
+            sim,
+            genesis,
+            rep_accounts,
+        }
+    }
+
+    /// The genesis account, `n` funded representative accounts and one
+    /// node voting as each, all holding the same bootstrapped ledger.
+    fn bootstrapped(n: usize) -> (NanoAccount, Vec<NanoAccount>, Vec<DagNode>) {
         let mut genesis = NanoAccount::from_seed([9u8; 32], 8, BITS);
         let genesis_block = genesis.genesis_block(1_000_000);
 
@@ -545,25 +574,22 @@ mod tests {
             bootstrap.push(rep.receive(send_hash, share).unwrap());
         }
 
-        let mut sim: Net =
-            Simulation::new(seed, LatencyModel::Fixed(SimTime::from_millis(latency_ms)));
-        for rep_account in rep_accounts.iter().take(n) {
-            let config = DagNodeConfig {
-                representative: Some(rep_account.address()),
-                quorum_fraction: 0.5,
-                cement_on_confirm: true,
-            };
-            let mut node = DagNode::new(params(), genesis_block.clone(), config);
-            for block in &bootstrap[1..] {
-                node.bootstrap(block.clone());
-            }
-            sim.add_node(node);
-        }
-        Fixture {
-            sim,
-            genesis,
-            rep_accounts,
-        }
+        let nodes = rep_accounts
+            .iter()
+            .map(|rep_account| {
+                let config = DagNodeConfig {
+                    representative: Some(rep_account.address()),
+                    quorum_fraction: 0.5,
+                    cement_on_confirm: true,
+                };
+                let mut node = DagNode::new(params(), genesis_block.clone(), config);
+                for block in &bootstrap[1..] {
+                    node.bootstrap(block.clone());
+                }
+                node
+            })
+            .collect();
+        (genesis, rep_accounts, nodes)
     }
 
     #[test]
@@ -1246,6 +1272,180 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// [`DagNode::admits`] as the lattice states it, without the
+    /// settled set: a vote is refused when its representative has no
+    /// weight here, or when the block occupying its root is one this
+    /// node confirmed and has cemented.
+    fn admits_by_lattice(node: &DagNode, vote: &Vote) -> bool {
+        if node.lattice.weight(&vote.representative) == 0 {
+            return false;
+        }
+        let (account, previous) = vote.root;
+        !node
+            .lattice
+            .occupier(&account, &previous)
+            .is_some_and(|hash| node.is_confirmed(&hash) && node.lattice.is_cemented(&hash))
+    }
+
+    /// A node that, at every vote delivered to it, checks that
+    /// [`DagNode::admits`] agrees with [`admits_by_lattice`] before
+    /// handling the vote, and counts the votes admitted and those
+    /// refused for a settled root.
+    struct Checked {
+        node: DagNode,
+        admitted: u64,
+        refused_settled: u64,
+    }
+
+    impl SimNode<DagMsg> for Checked {
+        fn on_start(&mut self, ctx: &mut Context<'_, DagMsg>) {
+            self.node.on_start(ctx);
+        }
+
+        fn on_message(
+            &mut self,
+            ctx: &mut Context<'_, DagMsg>,
+            from: NodeId,
+            msg: Payload<DagMsg>,
+        ) {
+            if let DagMsg::Vote(vote) = &*msg {
+                let admits = self.node.admits(vote);
+                assert_eq!(admits, admits_by_lattice(&self.node, vote), "{vote:?}");
+                if admits {
+                    self.admitted += 1;
+                } else if self.node.settled.contains(&vote.root) {
+                    self.refused_settled += 1;
+                }
+            }
+            self.node.on_message(ctx, from, msg);
+        }
+    }
+
+    /// Votes for `candidate` under `root` from every representative,
+    /// delivered straight to `node` at `at`, past the faults.
+    fn quorum_at(
+        sim: &mut Simulation<DagMsg, Checked>,
+        reps: &[NanoAccount],
+        at: SimTime,
+        node: NodeId,
+        root: ElectionRoot,
+        candidate: Digest,
+    ) {
+        for rep in reps {
+            let vote = Vote {
+                representative: rep.address(),
+                root,
+                candidate,
+            };
+            sim.deliver_at(at, node, node, DagMsg::Vote(vote));
+        }
+    }
+
+    prop! {
+        /// The settled set refuses exactly the votes the lattice says
+        /// are settled. Small networks lose and reorder messages, see
+        /// double spends and get late votes, some of them under another
+        /// block's root. Some nodes never cement. Each round also
+        /// drives node 0 (which cements) through the two paths where a
+        /// settled root is not simply the confirmed winner's: a child
+        /// confirmed before its parent, which cements the parent before
+        /// the parent's own quorum; and a quorum of votes naming a
+        /// made-up root, which confirms a block under a root it does
+        /// not occupy. Every vote delivery is checked by [`Checked`].
+        fn the_settled_set_refuses_exactly_what_the_lattice_does(g, cases = 12) {
+            let n = g.usize_in(3, 6);
+            let (_genesis, mut reps, nodes) = bootstrapped(n);
+            let latency = LatencyModel::Fixed(SimTime::from_millis(g.u64_in(5, 40)));
+            let mut sim: Simulation<DagMsg, Checked> = Simulation::new(g.any_u64(), latency);
+            let drop = g.u64_below(4) as f64 / 10.0;
+            sim.set_interceptor(
+                FaultInterceptor::new(g.any_u64())
+                    .drop_messages(drop)
+                    .reorder(0.2, SimTime::from_millis(50)),
+            );
+            for (i, mut node) in nodes.into_iter().enumerate() {
+                node.config.cement_on_confirm = i == 0 || g.u64_below(4) != 3;
+                sim.add_node(Checked {
+                    node,
+                    admitted: 0,
+                    refused_settled: 0,
+                });
+            }
+            let to = |n: &str| Address::from_label(n);
+            let home = NodeId(0);
+            let mut published: Vec<LatticeBlock> = Vec::new();
+            for _round in 0..g.usize_in(1, 4) {
+                let ms = |t: SimTime, ms: u64| t.saturating_add(SimTime::from_millis(ms));
+                let start = sim.now();
+
+                // A child confirmed at node 0 before its parent.
+                let account = g.usize_in(0, n);
+                let parent = reps[account].send(to("parent"), g.u64_in(1, 50)).unwrap();
+                let child = reps[account].send(to("child"), g.u64_in(1, 50)).unwrap();
+                for block in [&parent, &child] {
+                    sim.deliver_at(ms(start, 1), home, home, DagMsg::publish(block.clone()));
+                }
+                let parent_root = DagNode::election_root(&parent);
+                let child_root = DagNode::election_root(&child);
+                quorum_at(&mut sim, &reps, ms(start, 2), home, child_root, child.hash());
+                quorum_at(&mut sim, &reps, ms(start, 3), home, parent_root, parent.hash());
+                quorum_at(&mut sim, &reps[..1], ms(start, 4), home, parent_root, parent.hash());
+
+                // A quorum at node 0 under a root its block does not occupy.
+                let account = g.usize_in(0, n);
+                let block = reps[account].send(to("misrooted"), g.u64_in(1, 50)).unwrap();
+                let made_up = (block.account, to("nowhere").0);
+                sim.deliver_at(ms(start, 5), home, home, DagMsg::publish(block.clone()));
+                quorum_at(&mut sim, &reps, ms(start, 6), home, made_up, block.hash());
+                quorum_at(&mut sim, &reps[..1], ms(start, 7), home, made_up, parent.hash());
+                published.extend([parent, child, block]);
+
+                // Random sends and double spends, published anywhere.
+                for i in 0..g.usize_in(1, 5) {
+                    let account = g.usize_in(0, n);
+                    let mut blocks = Vec::new();
+                    if g.u64_below(3) == 0 {
+                        let mut fork = reps[account].fork_state();
+                        blocks.push(fork.send(to("fork"), g.u64_in(1, 50)).unwrap());
+                    }
+                    blocks.push(reps[account].send(to("shop"), g.u64_in(1, 50)).unwrap());
+                    for block in blocks {
+                        let node = NodeId(g.usize_in(0, n));
+                        let at = ms(start, 50 * (i as u64 + 1));
+                        sim.deliver_at(at, node, node, DagMsg::publish(block.clone()));
+                        published.push(block);
+                    }
+                }
+                let start = start.saturating_add(SimTime::from_secs(10));
+                sim.run_until_idle(start);
+
+                // Late votes, some under another block's root.
+                for i in 0..g.usize_in(1, 10) {
+                    let block = &published[g.usize_in(0, published.len())];
+                    let root = if g.u64_below(4) == 0 {
+                        DagNode::election_root(&published[g.usize_in(0, published.len())])
+                    } else {
+                        DagNode::election_root(block)
+                    };
+                    let vote = Vote {
+                        representative: reps[g.usize_in(0, n)].address(),
+                        root,
+                        candidate: block.hash(),
+                    };
+                    let node = NodeId(g.usize_in(0, n));
+                    sim.deliver_at(ms(start, i as u64 + 1), node, node, DagMsg::Vote(vote));
+                }
+                sim.run_until_idle(start.saturating_add(SimTime::from_secs(10)));
+            }
+            let nodes = (0..n).map(|i| sim.node(NodeId(i)));
+            let (admitted, refused) = nodes.fold((0, 0), |(a, r), node| {
+                (a + node.admitted, r + node.refused_settled)
+            });
+            assert!(admitted > 0, "no vote admitted");
+            assert!(refused > 0, "no vote refused for a settled root");
         }
     }
 

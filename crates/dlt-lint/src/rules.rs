@@ -38,8 +38,12 @@ pub const HOT_PATHS: [(&str, &[&str]); 4] = [
         "crates/dlt-dag/src/node.rs",
         &[
             "on_message",
+            "admits",
             "handle_publish",
+            "apply",
+            "cast_vote",
             "handle_vote",
+            "break_stalemate",
             "apply_confirmation",
         ],
     ),

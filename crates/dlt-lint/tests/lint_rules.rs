@@ -128,6 +128,25 @@ fn d5_covers_node_message_handlers() {
 }
 
 #[test]
+fn d5_covers_the_dag_functions_reached_from_on_message() {
+    let source = "impl Node {
+    fn admits(&self, weight: Option<u64>) -> bool { weight.unwrap() > 0 }
+    fn apply(&mut self, held: Option<u64>) { held.expect(\"held\"); }
+    fn cast_vote(&mut self) { let _rep = self.reps[0]; }
+    fn break_stalemate(&mut self) { panic!(\"stuck\") }
+}
+";
+    let findings = lint_file("crates/dlt-dag/src/node.rs", source);
+    assert_eq!(rules(&findings), vec![Rule::D5; 4], "{findings:?}");
+    let hot = ["`admits`", "`apply`", "`cast_vote`", "`break_stalemate`"];
+    for (finding, name) in findings.iter().zip(hot) {
+        assert!(finding.message.contains(name), "{findings:?}");
+    }
+    let elsewhere = lint_file("crates/dlt-blockchain/src/node.rs", source);
+    assert!(elsewhere.is_empty(), "{elsewhere:?}");
+}
+
+#[test]
 fn d6_flags_thread_primitives_in_sim_crates() {
     let findings = lint_file(
         "crates/dlt-blockchain/src/fixture.rs",
